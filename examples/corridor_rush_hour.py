@@ -111,7 +111,7 @@ def main() -> None:
         f"WiLocator {np.mean(wil_errs):.0f} s vs agency "
         f"{np.mean(agc_errs):.0f} s"
     )
-    print(f"server: {server.stats}")
+    print(f"server: {server.health()['stats']}")
 
 
 if __name__ == "__main__":

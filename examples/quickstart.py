@@ -104,7 +104,7 @@ def main() -> None:
         f"positioning: median error {np.median(errors):.1f} m over "
         f"{len(errors)} fixes"
     )
-    print(f"server stats: {server.stats}")
+    print(f"server stats: {server.health()['stats']}")
 
 
 if __name__ == "__main__":

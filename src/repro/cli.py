@@ -257,7 +257,7 @@ def run_metrics(world, args):
         return
     print(
         f"  synthetic city: {len(city.routes)} routes, "
-        f"{city.server.stats.sessions_opened} sessions, "
+        f"{city.server.metrics.counter('ingest.sessions_opened')} sessions, "
         f"{len(city.reports)} reports replayed"
     )
     print(format_snapshot(city.server.metrics_snapshot()))
@@ -352,7 +352,7 @@ def run_replay_cmd(args) -> None:
     for line in report.summary().splitlines():
         print(f"  {line}")
     print(
-        f"  recovered {city.server.stats.sessions_opened} sessions, "
+        f"  recovered {city.server.metrics.counter('ingest.sessions_opened')} sessions, "
         f"{len(city.server.predictor.live.segment_ids())} segments with "
         "live travel times"
     )

@@ -274,7 +274,7 @@ def run_failover_drill(data_root: str | Path, **city_kwargs) -> FailoverResult:
     twin_router.pump(now=twin_city.now)
 
     mismatches = _compare(city, router, twin_router)
-    totals = router.metrics_snapshot()["totals"]
+    totals = router.counters()
     result = FailoverResult(
         reports_total=len(stream),
         victim_reports=len(sent_victim),

@@ -183,7 +183,7 @@ def run_accuracy(*, num_shards: int = 2, **city_kwargs) -> ClusterAccuracy:
         ),
         default=float("nan"),
     )
-    totals = router.metrics_snapshot()["totals"]
+    totals = router.counters()
     return ClusterAccuracy(
         num_shards=num_shards,
         n_predictions=len(errors_single),

@@ -276,6 +276,9 @@ class ShardNode:
 
     # -- observability -------------------------------------------------------
 
+    def counters(self) -> dict[str, int]:
+        return self.core.counters()
+
     def metrics_snapshot(self) -> dict:
         return self.core.metrics_snapshot()
 

@@ -21,6 +21,7 @@ shard propagates, exactly as the single server raises it.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import ClassVar, Iterable, Mapping, Sequence
 
 from repro.core.arrival.predictor import ArrivalPrediction
@@ -612,21 +613,32 @@ class ClusterRouter:
 
     # -- observability -------------------------------------------------------
 
+    def _shard_totals(self) -> Counter[str]:
+        """Every counter summed over the live shards."""
+        totals: Counter[str] = Counter()
+        for sid in self.live_shard_ids():
+            totals.update(self.nodes[sid].counters())
+        return totals
+
+    def counters(self) -> dict[str, int]:
+        """The live shards' totals merged with the router's own counters."""
+        merged = self._shard_totals()
+        merged.update(self.metrics.counters)
+        return dict(merged)
+
     def metrics_snapshot(self) -> dict:
         """Router counters plus per-shard snapshots and cluster totals."""
-        shards = {}
-        totals: dict[str, int] = {}
-        for sid in sorted(self.nodes):
-            if sid in self._down:
-                shards[str(sid)] = {"down": True}
-                continue
-            snap = self.nodes[sid].metrics_snapshot()
-            shards[str(sid)] = snap
-            for name, value in snap["counters"].items():
-                totals[name] = totals.get(name, 0) + value
+        shards = {
+            str(sid): (
+                {"down": True}
+                if sid in self._down
+                else self.nodes[sid].metrics_snapshot()
+            )
+            for sid in sorted(self.nodes)
+        }
         return {
             "cluster": self.metrics.snapshot(),
-            "totals": dict(sorted(totals.items())),
+            "totals": dict(sorted(self._shard_totals().items())),
             "shards": shards,
         }
 

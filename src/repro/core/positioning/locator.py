@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.svd.rank import (
+from repro.core.svd.road_svd import RoadSVD, RoadTile
+from repro.geometry import Point
+from repro.sensing.rank import (
     Signature,
     full_ranking_from_readings,
     has_rank_tie,
 )
-from repro.core.svd.road_svd import RoadSVD, RoadTile
-from repro.geometry import Point
 from repro.sensing.reports import ScanReport
 
 

@@ -22,7 +22,7 @@ from repro.core.server.persistence import (
     store_from_dict,
     store_to_dict,
 )
-from repro.core.server.server import ServerStats, WiLocatorServer
+from repro.core.server.server import WiLocatorServer
 from repro.core.server.session import BusSession
 from repro.core.server.training import (
     TrainingResult,
@@ -36,7 +36,6 @@ __all__ = [
     "WiLocatorServer",
     "ServingBackend",
     "BACKEND_METHODS",
-    "ServerStats",
     "ServerMetrics",
     "LatencyHistogram",
     "CacheStats",

@@ -25,7 +25,11 @@ implementations:
   buffered) so the front door can force batched ingest visible without
   isinstance dispatch;
 * ``health()`` payloads share the ``status`` / ``stats`` / ``sessions``
-  core on every backend (plus backend-specific sections).
+  core on every backend (plus backend-specific sections); ``stats`` is a
+  view derived from the counters, never a second ledger;
+* ``counters()`` is the one way to read the counter registry whatever
+  its layout: a single server's own counters, or for the cluster the
+  live shards' totals merged with the router's counters.
 
 The protocol is :func:`~typing.runtime_checkable`, so conformance tests
 assert ``isinstance(backend, ServingBackend)`` for all three shapes and
@@ -57,6 +61,7 @@ BACKEND_METHODS: tuple[str, ...] = (
     "current_position",
     "active_sessions",
     "traffic_map",
+    "counters",
     "metrics_snapshot",
     "health",
 )
@@ -133,6 +138,10 @@ class ServingBackend(Protocol):
         with_anomalies: bool = True,
     ) -> TrafficMap:
         """The current real-time traffic map."""
+        ...
+
+    def counters(self) -> dict[str, int]:
+        """A fresh ``name -> value`` copy of every ingest/query counter."""
         ...
 
     def metrics_snapshot(self) -> dict:

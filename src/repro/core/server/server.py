@@ -21,7 +21,6 @@ whole system deterministic and unit-testable.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.arrival.history import TravelTimeRecord, TravelTimeStore
@@ -49,19 +48,28 @@ from repro.roadnet.index import RouteIndex, UnknownStopError
 from repro.roadnet.route import BusRoute
 from repro.sensing.reports import ScanReport
 
-__all__ = ["ServerStats", "WiLocatorServer", "UnknownStopError"]
+__all__ = ["WiLocatorServer", "UnknownStopError"]
+
+#: The ``stats`` health view: key -> the counters whose sum it reports.
+#: Every ``guard.admit`` lands in exactly one of admitted / rejected /
+#: internal_errors (WL007), so the last two together are the quarantined.
+_STATS_VIEW: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("reports_ingested", ("ingest.reports",)),
+    ("reports_unroutable", ("ingest.unroutable",)),
+    ("reports_quarantined", ("guard.rejected", "guard.internal_errors")),
+    ("positions_fixed", ("ingest.positions_fixed",)),
+    ("traversals_extracted", ("ingest.traversals_extracted",)),
+    ("sessions_opened", ("ingest.sessions_opened",)),
+)
 
 
-@dataclass
-class ServerStats:
-    """Ingestion counters for observability."""
-
-    reports_ingested: int = 0
-    reports_unroutable: int = 0
-    reports_quarantined: int = 0
-    positions_fixed: int = 0
-    traversals_extracted: int = 0
-    sessions_opened: int = 0
+def _ingest_stats(counters: Mapping[str, int]) -> dict[str, int]:
+    """The ``stats`` section of ``health()`` / ``metrics_snapshot()``,
+    derived from the counter registry (the only ingest ledger)."""
+    return {
+        key: sum(counters.get(name, 0) for name in names)
+        for key, names in _STATS_VIEW
+    }
 
 
 class WiLocatorServer:
@@ -126,7 +134,6 @@ class WiLocatorServer:
         self.delta = delta or DeltaEstimator()
         self.anomaly_detector = AnomalyDetector(self.delta)
         self.sessions: dict[str, BusSession] = {}
-        self.stats = ServerStats()
         #: Optional tap on freshly extracted segment traversals.  Invoked
         #: once per :class:`TravelTimeRecord` right after the predictor
         #: observes it — the cluster layer's :class:`ShardNode` uses it to
@@ -168,13 +175,9 @@ class WiLocatorServer:
     def admit(self, report: ScanReport) -> AdmissionDecision:
         """Run admission control on one report (never raises).
 
-        Rejected reports are quarantined and counted by the guard; the
-        server additionally tracks them in ``stats.reports_quarantined``.
+        Rejected reports are quarantined and counted by the guard.
         """
-        decision = self.guard.admit(report)
-        if not decision:
-            self.stats.reports_quarantined += 1
-        return decision
+        return self.guard.admit(report)
 
     def ingest(self, report: ScanReport) -> TrajectoryPoint | None:
         """Process one uploaded scan; returns the new position fix.
@@ -200,13 +203,11 @@ class WiLocatorServer:
 
     def _apply(self, report: ScanReport, t0: float) -> TrajectoryPoint | None:
         """The post-admission ingest body (route, track, extract, index)."""
-        self.stats.reports_ingested += 1
         self.metrics.incr("ingest.reports")
         route = self.routes.get(report.route_id)
         if route is None:
             # Route identification failed or unknown route: the scan is
             # unusable for tracking (Section V.A.1).
-            self.stats.reports_unroutable += 1
             self.metrics.incr("ingest.unroutable")
             self.metrics.observe("ingest", time.perf_counter() - t0)
             return None
@@ -222,7 +223,6 @@ class WiLocatorServer:
             )
             self.sessions[report.session_key] = session
             self.index.open_session(report.session_key, report.route_id)
-            self.stats.sessions_opened += 1
             self.metrics.incr("ingest.sessions_opened")
         self._grouper.observe_driver(report)
         t_fix = time.perf_counter()
@@ -230,14 +230,12 @@ class WiLocatorServer:
         self.metrics.observe("position_fix", time.perf_counter() - t_fix)
         self.index.note_report(report.session_key, report.t)
         if point is not None:
-            self.stats.positions_fixed += 1
             self.metrics.incr("ingest.positions_fixed")
             self.fusion.note_wifi_fix(
                 report.session_key, report.route_id, point.arc_length, report.t
             )
         for record in records:
             self.predictor.observe(record)
-            self.stats.traversals_extracted += 1
             self.metrics.incr("ingest.traversals_extracted")
             if self.on_traversal is not None:
                 self.on_traversal(record)
@@ -371,8 +369,6 @@ class WiLocatorServer:
             # Unmatched rider scans are still ingested work: count them
             # and observe the latency like the driver-path unroutable
             # branch does, so the histograms reconcile with the counters.
-            self.stats.reports_ingested += 1
-            self.stats.reports_unroutable += 1
             self.metrics.incr("ingest.reports")
             self.metrics.incr("ingest.unroutable")
             self.metrics.incr("ingest.rider_unmatched")
@@ -382,8 +378,6 @@ class WiLocatorServer:
         if session is None:
             # The grouper matched a driver whose session the server no
             # longer tracks (dropped, or fed out-of-band): unroutable.
-            self.stats.reports_ingested += 1
-            self.stats.reports_unroutable += 1
             self.metrics.incr("ingest.reports")
             self.metrics.incr("ingest.unroutable")
             self.metrics.observe("ingest", time.perf_counter() - t0)
@@ -477,6 +471,10 @@ class WiLocatorServer:
 
     # -- observability ---------------------------------------------------------
 
+    def counters(self) -> dict[str, int]:
+        """A copy of the counter registry (the one ingest ledger)."""
+        return dict(self.metrics.counters)
+
     def metrics_snapshot(self) -> dict:
         """Counters, latency histograms, cache rates and index state.
 
@@ -496,7 +494,7 @@ class WiLocatorServer:
             "misses": misses,
             "hit_rate": hits / total if total else 0.0,
         }
-        snap["stats"] = asdict(self.stats)
+        snap["stats"] = _ingest_stats(snap["counters"])
         snap["index"] = self.index.snapshot()
         return snap
 
@@ -510,7 +508,7 @@ class WiLocatorServer:
         return {
             "status": "ok",
             "guard": self.guard.health(),
-            "stats": asdict(self.stats),
+            "stats": _ingest_stats(self.metrics.counters),
             "sessions": {"open": len(self.sessions)},
             "lifecycle": {"model_version": self.model_version},
             "fusion": self.fusion.health(),

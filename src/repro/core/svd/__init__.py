@@ -20,7 +20,8 @@ from repro.core.svd.euclidean import (
     distance_rank_signature,
     nearest_ap,
 )
-from repro.core.svd.rank import (
+from repro.core.svd.road_svd import RoadSVD, RoadTile
+from repro.sensing.rank import (
     Signature,
     full_ranking_from_readings,
     has_rank_tie,
@@ -29,7 +30,6 @@ from repro.core.svd.rank import (
     signature_from_readings,
     signature_from_rss,
 )
-from repro.core.svd.road_svd import RoadSVD, RoadTile
 
 __all__ = [
     "Signature",

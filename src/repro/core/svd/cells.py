@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.svd.rank import Signature
 from repro.geometry import Point
+from repro.sensing.rank import Signature
 
 
 @dataclass(frozen=True, slots=True)

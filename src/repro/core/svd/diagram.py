@@ -21,10 +21,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.core.svd.cells import SignalCell, SignalTile, TileBoundary
-from repro.core.svd.rank import Signature
 from repro.geometry import Point, Polyline
 from repro.radio.ap import AccessPoint
 from repro.radio.environment import RadioEnvironment
+from repro.sensing.rank import Signature
 
 
 class GridSVD:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.svd.rank import Signature
 from repro.geometry import Point
 from repro.radio.ap import AccessPoint
+from repro.sensing.rank import Signature
 
 
 def distance_rank_signature(

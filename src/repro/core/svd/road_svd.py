@@ -33,11 +33,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.core.svd.rank import Signature, signature_distance, signature_from_rss
 from repro.geometry import Point
 from repro.radio.ap import AccessPoint
 from repro.radio.environment import RadioEnvironment
 from repro.roadnet.route import BusRoute
+from repro.sensing.rank import Signature, signature_distance, signature_from_rss
 
 
 @dataclass(frozen=True, slots=True)

@@ -69,9 +69,10 @@ class LocalCounters:
 
     ``repro.fusion`` ranks *below* ``core`` and must not import
     :class:`~repro.core.server.metrics.ServerMetrics`; the orchestrator
-    only needs ``incr``, which the server's metrics object satisfies
-    structurally.  When no sink is attached (tests, the health fold's
-    template orchestrator) counters land in this plain dict.
+    only needs ``incr`` and a ``counters`` dict, which the server's
+    metrics object satisfies structurally.  When no sink is attached
+    (tests, the health fold's template orchestrator) counters land in
+    this plain dict.
     """
 
     __slots__ = ("counters",)
@@ -166,8 +167,9 @@ class FusionOrchestrator:
         metrics: Any = None,
     ) -> None:
         self.config = config or FusionConfig()
-        #: Any ``incr(name, n=1)``-shaped sink; the owning server passes
-        #: its ServerMetrics so fusion.* counters land beside ingest.*.
+        #: Any sink with ``incr(name, n=1)`` and a ``counters`` dict; the
+        #: owning server passes its ServerMetrics so fusion.* counters land
+        #: beside ingest.* (and health reads ``fusion.fused_fixes`` back).
         self.metrics = metrics if metrics is not None else LocalCounters()
         self._routes: dict[str, BusRoute] = dict(routes or {})
         self._geometry: dict[str, RouteGeometry] = {}
@@ -179,7 +181,6 @@ class FusionOrchestrator:
         self._calibrations: dict[str, SourceCalibration] = {}
         self._observed: dict[str, int] = {src: 0 for src in OBSERVATION_SOURCES}
         self._rejected: dict[str, int] = {src: 0 for src in OBSERVATION_SOURCES}
-        self.fused_fixes = 0
 
     # -- survey / registry ---------------------------------------------------
 
@@ -449,7 +450,6 @@ class FusionOrchestrator:
                 arc = min(hi, max(lo, arc))
                 bounded = True
                 self.metrics.incr("fusion.corrections_bounded")
-        self.fused_fixes += 1
         self.metrics.incr("fusion.fused_fixes")
         self.audit.append(
             now,
@@ -493,7 +493,7 @@ class FusionOrchestrator:
             "store": self.store.snapshot(),
             "anchors": {"tracked": tracked, "degraded": degraded},
             "audit": self.audit.snapshot(),
-            "fused_fixes": self.fused_fixes,
+            "fused_fixes": self.metrics.counters.get("fusion.fused_fixes", 0),
         }
 
 

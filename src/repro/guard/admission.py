@@ -66,8 +66,6 @@ class IngestGuard:
             demote_cooldown_s=self.config.demote_cooldown_s,
             max_tracked_sessions=self.config.max_tracked_sessions,
         )
-        self.admitted_total = 0
-        self.rejected_total = 0
 
     # -- admission -----------------------------------------------------------
 
@@ -88,7 +86,6 @@ class IngestGuard:
                         )
                 if decision:
                     self.validator.note_admitted(report)
-                    self.admitted_total += 1
                     self.metrics.incr("guard.admitted")
                 else:
                     self._quarantine(report, decision)
@@ -104,7 +101,6 @@ class IngestGuard:
 
     def _quarantine(self, report: ScanReport, decision: AdmissionDecision) -> None:
         reason = decision.reason or REASON_MALFORMED
-        self.rejected_total += 1
         self.quarantine.push(
             report,
             reason,
@@ -141,8 +137,9 @@ class IngestGuard:
     def health(self) -> dict:
         """One nested dict an operator can read at a glance."""
         return {
-            "admitted": self.admitted_total,
-            "rejected": self.rejected_total,
+            "admitted": self.metrics.counter("guard.admitted"),
+            "rejected": self.metrics.counter("guard.rejected")
+            + self.metrics.counter("guard.internal_errors"),
             "validator": self.validator.snapshot(),
             "ratelimiter": (
                 self.ratelimiter.snapshot() if self.ratelimiter is not None else None

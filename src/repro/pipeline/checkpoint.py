@@ -2,11 +2,11 @@
 
 A checkpoint captures everything :meth:`WiLocatorServer.ingest` mutates —
 open sessions (trajectories, extractor emission state), the live
-travel-time store, ingest counters and stats — plus the trained
-configuration it must match on restore (slot scheme, anomaly
-thresholds).  Each file records the WAL sequence number it covers
-(``wal_seq``): recovery restores the newest loadable checkpoint and
-replays only WAL records with a higher sequence
+travel-time store and the counter registry (the ``stats`` health view
+derives from it) — plus the trained configuration it must match on
+restore (slot scheme, anomaly thresholds).  Each file records the WAL
+sequence number it covers (``wal_seq``): recovery restores the newest
+loadable checkpoint and replays only WAL records with a higher sequence
 (:mod:`repro.pipeline.replay`).
 
 Files are ``ckpt-<wal_seq>.json`` in a checkpoint directory, written
@@ -23,7 +23,6 @@ it for any bus still reporting).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
@@ -36,7 +35,7 @@ from repro.core.server.persistence import (
     store_from_dict,
     store_to_dict,
 )
-from repro.core.server.server import ServerStats, WiLocatorServer
+from repro.core.server.server import WiLocatorServer
 from repro.core.server.session import BusSession
 from repro.roadnet.index import RouteIndex
 
@@ -69,7 +68,6 @@ def checkpoint_to_dict(server: WiLocatorServer, *, wal_seq: int) -> dict[str, An
         "live": store_to_dict(server.predictor.live),
         "delta": server.delta.state_dict(),
         "sessions": [s.state_dict() for s in server.sessions.values()],
-        "stats": asdict(server.stats),
         "counters": dict(server.metrics.counters),
     }
 
@@ -82,6 +80,9 @@ def restore_into(server: WiLocatorServer, data: dict[str, Any]) -> int:
     a slot-scheme mismatch is detected and raises, the rest is the
     caller's contract.  Sessions are rebuilt in their original creation
     order so indexed queries keep their deterministic iteration order.
+    A legacy ``"stats"`` entry (checkpoints written while the server kept
+    a separate stats ledger) is ignored: the counters carry the same
+    values.
     """
     check_version(data, kind="checkpoint", expected=CHECKPOINT_VERSION)
     boundaries = tuple(float(b) for b in data["slots"]["boundaries"])
@@ -108,7 +109,6 @@ def restore_into(server: WiLocatorServer, data: dict[str, Any]) -> int:
         server.index.open_session(session.session_key, route_id)
         if session.last_report_t is not None:
             server.index.note_report(session.session_key, session.last_report_t)
-    server.stats = ServerStats(**data["stats"])
     server.metrics.counters.clear()
     server.metrics.counters.update(data["counters"])
     return int(data["wal_seq"])

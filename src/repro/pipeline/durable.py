@@ -442,6 +442,9 @@ class DurableServer:
             now, segment_ids, with_anomalies=with_anomalies
         )
 
+    def counters(self) -> dict[str, int]:
+        return self.server.counters()
+
     def metrics_snapshot(self) -> dict:
         return self.server.metrics_snapshot()
 

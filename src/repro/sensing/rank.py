@@ -19,8 +19,7 @@ The module lives in :mod:`repro.sensing` (not ``core.svd``) because a
 ranking is a property of one *scan*: it depends only on the radio layer's
 :class:`~repro.radio.environment.Reading` and is needed below ``core`` —
 rider-to-bus grouping ranks contemporaneous scans long before the server's
-SVD matching sees them.  ``repro.core.svd.rank`` re-exports everything for
-compatibility.
+SVD matching sees them.
 """
 
 from __future__ import annotations

@@ -294,26 +294,9 @@ class ServingApp:
         )
 
     def _rejection_counters(self) -> dict[str, int]:
-        """Current rejection-relevant counters, uniformly across backends.
-
-        Single/durable snapshots carry ``counters``; the cluster router
-        nests shard totals under ``totals`` and its own counters under
-        ``cluster.counters`` — sum whatever is present.
-        """
-        snap = self.backend.metrics_snapshot()
-        merged: dict[str, int] = {}
-        sources = []
-        if "counters" in snap:
-            sources.append(snap["counters"])
-        if "totals" in snap:
-            sources.append(snap["totals"])
-        if "cluster" in snap and "counters" in snap["cluster"]:
-            sources.append(snap["cluster"]["counters"])
-        for source in sources:
-            for name in _REJECTION_COUNTERS + ("pipeline.degraded_reports",):
-                if name in source:
-                    merged[name] = merged.get(name, 0) + int(source[name])
-        return merged
+        """Current rejection-relevant counters, uniformly across backends."""
+        counters = self.backend.counters()
+        return {name: counters.get(name, 0) for name in _REJECTION_COUNTERS}
 
     def _h_scans(self, request: Request) -> Response:
         reports = self._parse_reports(request)
@@ -324,14 +307,11 @@ class ServingApp:
         except ValueError as exc:
             raise WireError(WireErrorCode.UNAVAILABLE, str(exc)) from None
         after = self._rejection_counters()
-        delta = {
-            name: after.get(name, 0) - before.get(name, 0)
-            for name in set(before) | set(after)
-        }
-        rejected = sum(delta.get(name, 0) for name in _REJECTION_COUNTERS)
+        delta = {name: after[name] - before[name] for name in _REJECTION_COUNTERS}
+        rejected = sum(delta.values())
         accepted = max(0, len(reports) - rejected)
         if accepted == 0:
-            if delta.get("cluster.ingest_rejected", 0) == len(reports):
+            if delta["cluster.ingest_rejected"] == len(reports):
                 health = self.backend.health()
                 if health.get("status") != "ok":
                     raise WireError(
@@ -339,7 +319,7 @@ class ServingApp:
                         "cluster refused the batch (shards impaired)",
                         submitted=len(reports),
                     )
-            if delta.get("batch.dropped", 0) > 0:
+            if delta["batch.dropped"] > 0:
                 raise WireError(
                     WireErrorCode.RATE_LIMITED,
                     "ingest queue full, retry later",

@@ -45,8 +45,8 @@ class TestIngestManyAdmission:
         batch.server.ingest_many(city.reports)
         assert admission_counts(batch.server) == admission_counts(loop.server)
         assert (
-            batch.server.stats.reports_ingested
-            == loop.server.stats.reports_ingested
+            batch.server.health()["stats"]["reports_ingested"]
+            == loop.server.health()["stats"]["reports_ingested"]
         )
 
     def test_preadmitted_batch_never_readmits(self, city):
@@ -64,7 +64,7 @@ class TestIngestManyAdmission:
         assert after["admitted"] == before["admitted"]
         assert after["checks"] == before["checks"]
         assert after["ingest_observed"] == len(city.reports)
-        assert server.stats.reports_ingested == len(city.reports)
+        assert server.health()["stats"]["reports_ingested"] == len(city.reports)
 
     def test_readmitting_would_have_been_wrong(self, city):
         """The dedup window rejects a second admission of the same report.
@@ -77,4 +77,4 @@ class TestIngestManyAdmission:
         report = min(city.reports, key=lambda r: r.t)
         assert server.admit(report)
         assert not server.admit(report)  # duplicate-suppressed
-        assert server.stats.reports_quarantined == 1
+        assert server.health()["stats"]["reports_quarantined"] == 1

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.svd.rank import signature_distance
 from repro.core.svd.road_svd import RoadSVD
 from repro.radio import RadioEnvironment
+from repro.sensing.rank import signature_distance
 from tests.conftest import make_line_aps, make_straight_route
 
 

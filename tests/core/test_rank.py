@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.svd.rank import (
+from repro.radio.environment import Reading
+from repro.sensing.rank import (
     full_ranking_from_readings,
     has_rank_tie,
     rank_agreement,
@@ -10,7 +11,6 @@ from repro.core.svd.rank import (
     signature_from_readings,
     signature_from_rss,
 )
-from repro.radio.environment import Reading
 
 
 class TestSignatureFromRss:

@@ -42,7 +42,7 @@ class TestPartitionInvariants:
 
     def test_rank_constant_within_tile(self, svd, route, clean_env):
         """Proposition 1: RSS rank order is constant inside each tile."""
-        from repro.core.svd.rank import signature_from_rss
+        from repro.sensing.rank import signature_from_rss
 
         for tile in svd.tiles[:20]:
             for frac in (0.25, 0.75):

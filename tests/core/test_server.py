@@ -62,9 +62,10 @@ class TestIngestion:
     def test_tracks_reports(self, scene):
         server = make_server(scene)
         server.ingest_many(scene["reports"])
-        assert server.stats.reports_ingested == len(scene["reports"])
-        assert server.stats.positions_fixed > 0
-        assert server.stats.sessions_opened == 1
+        stats = server.health()["stats"]
+        assert stats["reports_ingested"] == len(scene["reports"])
+        assert stats["positions_fixed"] > 0
+        assert stats["sessions_opened"] == 1
 
     def test_ingest_many_returns_fixes(self, scene):
         # Seed bug: ingest_many discarded the per-report fixes.
@@ -72,7 +73,7 @@ class TestIngestion:
         fixes = server.ingest_many(scene["reports"])
         assert len(fixes) == len(scene["reports"])
         fixed = [tp for tp in fixes if tp is not None]
-        assert len(fixed) == server.stats.positions_fixed
+        assert len(fixed) == server.health()["stats"]["positions_fixed"]
         assert all(
             a.t <= b.t for a, b in zip(fixed, fixed[1:])
         )  # time-sorted processing order
@@ -97,12 +98,12 @@ class TestIngestion:
             readings=scene["reports"][0].readings,
         )
         assert server.ingest(bad) is None
-        assert server.stats.reports_unroutable == 1
+        assert server.health()["stats"]["reports_unroutable"] == 1
 
     def test_traversals_extracted(self, scene):
         server = make_server(scene)
         server.ingest_many(scene["reports"])
-        assert server.stats.traversals_extracted >= 3
+        assert server.health()["stats"]["traversals_extracted"] >= 3
         assert len(server.predictor.live) >= 3
 
     def test_extracted_times_close_to_truth(self, scene):

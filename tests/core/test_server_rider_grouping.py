@@ -99,10 +99,10 @@ class TestServerRiderGrouping:
             device_id="ghost", session_key="", route_id="", t=1e9,
             readings=(Reading(bssid="aa:bb:cc:dd:ee:ff", ssid="x", rss_dbm=-60.0),),
         )
-        before = server.stats.reports_unroutable
+        before = server.health()["stats"]["reports_unroutable"]
         hist_before = server.metrics.latency("ingest").count
         assert server.ingest_rider(ghost) is None
-        assert server.stats.reports_unroutable == before + 1
+        assert server.health()["stats"]["reports_unroutable"] == before + 1
         # The fixed unroutable branch observes the ingest histogram and
         # records the unmatched-rider context.
         assert server.metrics.latency("ingest").count == hist_before + 1
@@ -131,13 +131,13 @@ class TestServerRiderGrouping:
             device_id="rider-x", session_key="", route_id="", t=2e9 + 1.0,
             readings=driver.readings,
         )
-        before = server.stats.reports_unroutable
-        ingested_before = server.stats.reports_ingested
+        before = server.health()["stats"]["reports_unroutable"]
+        ingested_before = server.health()["stats"]["reports_ingested"]
         hist_before = server.metrics.latency("ingest").count
         unmatched_before = server.metrics.counter("ingest.rider_unmatched")
         assert server.ingest_rider(rider) is None
-        assert server.stats.reports_unroutable == before + 1
-        assert server.stats.reports_ingested == ingested_before + 1
+        assert server.health()["stats"]["reports_unroutable"] == before + 1
+        assert server.health()["stats"]["reports_ingested"] == ingested_before + 1
         assert server.metrics.latency("ingest").count == hist_before + 1
         # This is the *matched-but-untracked* branch, not the unmatched one.
         assert server.metrics.counter("ingest.rider_unmatched") == unmatched_before
@@ -148,9 +148,9 @@ class TestServerRiderGrouping:
         empty = ScanReport(
             device_id="ghost", session_key="", route_id="", t=1e9, readings=()
         )
-        before = server.stats.reports_quarantined
-        unroutable_before = server.stats.reports_unroutable
+        before = server.health()["stats"]["reports_quarantined"]
+        unroutable_before = server.health()["stats"]["reports_unroutable"]
         assert server.ingest_rider(empty) is None
-        assert server.stats.reports_quarantined == before + 1
-        assert server.stats.reports_unroutable == unroutable_before
+        assert server.health()["stats"]["reports_quarantined"] == before + 1
+        assert server.health()["stats"]["reports_unroutable"] == unroutable_before
         assert server.guard.quarantine.counts.get("empty_readings", 0) >= 1

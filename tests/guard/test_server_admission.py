@@ -33,8 +33,9 @@ class TestServerAdmission:
         server = city.server
         for r in sorted(city.reports, key=lambda r: r.t):
             server.ingest(r)
-        assert server.stats.reports_ingested == len(city.reports)
-        assert server.stats.reports_quarantined == 0
+        stats = server.health()["stats"]
+        assert stats["reports_ingested"] == len(city.reports)
+        assert stats["reports_quarantined"] == 0
         assert server.metrics.counter("guard.admitted") == len(city.reports)
         assert server.metrics.latency("admission").count == len(city.reports)
         assert server.metrics.latency("ingest").count == len(city.reports)
@@ -46,8 +47,9 @@ class TestServerAdmission:
         assert server.ingest(bad_report(readings=nan_reading)) is None
         assert server.ingest(bad_report(t=math.inf)) is None
         assert server.ingest(bad_report()) is None  # empty readings
-        assert server.stats.reports_quarantined == 3
-        assert server.stats.reports_ingested == 0
+        stats = server.health()["stats"]
+        assert stats["reports_quarantined"] == 3
+        assert stats["reports_ingested"] == 0
         counts = server.guard.quarantine.counts
         assert counts == {
             "rss_not_finite": 1, "bad_timestamp": 1, "empty_readings": 1,
@@ -64,7 +66,7 @@ class TestServerAdmission:
             server.ingest(r)
         assert server.ingest(reports[-1]) is None  # exact re-upload
         assert server.guard.quarantine.counts == {"duplicate": 1}
-        assert server.stats.reports_ingested == len(reports)
+        assert server.health()["stats"]["reports_ingested"] == len(reports)
 
     def test_rate_limiter_throttles_noisy_device(self):
         guard_config = GuardConfig(rate_per_s=1.0, rate_burst=2.0)
@@ -84,7 +86,7 @@ class TestServerAdmission:
             server.ingest(r)
         counts = server.guard.quarantine.counts
         assert counts.get("rate_limited") == 3  # burst of 2 admitted
-        assert server.stats.reports_ingested == 2
+        assert server.health()["stats"]["reports_ingested"] == 2
 
     def test_custom_guard_and_config_conflict(self):
         import pytest

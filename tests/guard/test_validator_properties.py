@@ -64,6 +64,7 @@ def test_guard_admit_is_total_over_streams(batch, data):
     for report in batch:
         decision = guard.admit(report)
         assert decision.admitted or decision.reason in REASONS
-    assert guard.admitted_total + guard.rejected_total == len(batch)
-    assert guard.quarantine.total == guard.rejected_total
-    assert sum(guard.quarantine.counts.values()) == guard.rejected_total
+    rejected = guard.metrics.counter("guard.rejected")
+    assert guard.metrics.counter("guard.admitted") + rejected == len(batch)
+    assert guard.quarantine.total == rejected
+    assert sum(guard.quarantine.counts.values()) == rejected

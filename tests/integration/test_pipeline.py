@@ -66,7 +66,7 @@ class TestFullTracking:
         key = reports[0].session_key
         tp = server.current_position(key)
         assert tp is not None
-        assert server.stats.traversals_extracted > 10
+        assert server.health()["stats"]["traversals_extracted"] > 10
 
     def test_prediction_mid_trip_reasonable(self, small_world, run, server):
         trip = run.trips_of_route("14")[0]

@@ -11,7 +11,6 @@ the crash-recovery parity tests.
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import Any
 
 import pytest
@@ -69,7 +68,7 @@ def server_digest(server: WiLocatorServer) -> dict[str, Any]:
     return {
         "sessions": {k: s.state_dict() for k, s in server.sessions.items()},
         "live": store_to_dict(server.predictor.live),
-        "stats": asdict(server.stats),
+        "stats": server.health()["stats"],
         "counters": {
             k: v
             for k, v in server.metrics.counters.items()

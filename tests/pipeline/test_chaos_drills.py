@@ -107,7 +107,7 @@ def test_each_fault_files_under_its_promised_reason(fault, chaos):
     assert inj.injected[fault] > 0
     reason = REASON_OF_FAULT[fault]
     assert guard.quarantine.counts == {reason: inj.injected[fault]}
-    assert guard.admitted_total == len(delivered) - inj.injected[fault]
+    assert guard.metrics.counter("guard.admitted") == len(delivered) - inj.injected[fault]
 
 
 def test_drops_leave_no_trace():
@@ -118,7 +118,8 @@ def test_drops_leave_no_trace():
         guard.admit(report)
     assert inj.injected["drop"] == 7
     assert len(delivered) == 1
-    assert guard.admitted_total == 1 and guard.rejected_total == 0
+    assert guard.metrics.counter("guard.admitted") == 1
+    assert guard.metrics.counter("guard.rejected") == 0
 
 
 # -- the mixed-fault soak -----------------------------------------------------
@@ -156,9 +157,9 @@ class TestChaosSoak:
 
         admitted_by_session: Counter = Counter()
         for report in delivered:  # delivered order — sorting would undo faults
-            before = server.guard.admitted_total
+            before = server.metrics.counter("guard.admitted")
             server.ingest(report)
-            if server.guard.admitted_total > before:
+            if server.metrics.counter("guard.admitted") > before:
                 admitted_by_session[report.session_key] += 1
 
         reference = city.fresh_twin()
@@ -167,10 +168,13 @@ class TestChaosSoak:
 
     def test_every_delivered_report_got_a_verdict(self, soak):
         city, _, inj, delivered, _ = soak
-        guard = city.server.guard
-        assert guard.admitted_total + guard.rejected_total == len(delivered)
-        assert city.server.stats.reports_ingested == guard.admitted_total
-        assert city.server.stats.reports_quarantined == guard.rejected_total
+        metrics = city.server.metrics
+        admitted = metrics.counter("guard.admitted")
+        rejected = metrics.counter("guard.rejected")
+        assert admitted + rejected == len(delivered)
+        stats = city.server.health()["stats"]
+        assert stats["reports_ingested"] == admitted
+        assert stats["reports_quarantined"] == rejected
 
     def test_reason_counters_reconcile_exactly(self, soak):
         city, _, inj, _, _ = soak
@@ -255,7 +259,7 @@ class TestBreakerDegradation:
         assert m.counter("breaker.storage.opened") == 1
         assert m.counter("breaker.storage.probes") == 1
         assert m.counter("breaker.storage.recovered") == 1
-        assert city.server.stats.reports_ingested == 24  # ingest never stopped
+        assert m.counter("ingest.reports") == 24  # ingest never stopped
         assert fs.pending_faults == 0
 
         # Only the two post-recovery batches are on disk...
@@ -314,7 +318,7 @@ class TestFaultRecoveryParity:
             durable.submit(report)
         durable.close(checkpoint=final_checkpoint)
 
-        assert city.server.stats.reports_ingested == 24
+        assert city.server.metrics.counter("ingest.reports") == 24
         assert durable.breaker.snapshot()["state"] == "closed"  # one blip < threshold
         m = city.server.metrics
         assert m.counter("wal.flush_failures") == 1

@@ -42,6 +42,13 @@ def test_round_trip_through_json_is_exact(warm_city):
     restore_into(twin.server, rehydrated)
     assert server_digest(twin.server) == server_digest(warm_city.server)
 
+    # Checkpoints written while the server kept a separate stats ledger
+    # carry it under "stats"; they still load, to the same state.
+    legacy = {**rehydrated, "stats": warm_city.server.health()["stats"]}
+    legacy_twin = warm_city.fresh_twin()
+    restore_into(legacy_twin.server, legacy)
+    assert server_digest(legacy_twin.server) == server_digest(warm_city.server)
+
 
 def test_version_mismatch_raises(warm_city):
     data = checkpoint_to_dict(warm_city.server, wal_seq=0)

@@ -126,3 +126,17 @@ def test_recovered_server_keeps_ingesting(durable_run, tmp_path):
     reference.replay()
     assert server_digest(durable.server) == server_digest(reference.server)
     assert query_digest(recovered) == query_digest(reference)
+
+
+def test_recovered_health_reads_the_restored_counters(durable_run, tmp_path):
+    """Guard and fusion health report the restored counters after a
+    recovery, agreeing with the counters beside them (not restarting at 0)."""
+    city, data_dir = durable_run
+    recovered = city.fresh_twin()
+    recover(recovered.server, _crash_dir_at(tmp_path, data_dir, 17))
+    m = recovered.server.metrics
+    health = recovered.server.health()
+    assert m.counter("guard.admitted") > 0
+    assert health["guard"]["admitted"] == m.counter("guard.admitted")
+    assert health["guard"]["rejected"] == m.counter("guard.rejected")
+    assert health["fusion"]["fused_fixes"] == m.counter("fusion.fused_fixes")

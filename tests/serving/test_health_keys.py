@@ -50,10 +50,17 @@ class TestHealthKeyParity:
         assert set(versions.values()) == {"offline"}, versions
 
     def test_sessions_key_counts_open_sessions(self, city, trio):
+        stats = {}
         for name, backend in trio.items():
             backend.ingest_many(city.reports)
+            backend.flush()
             health = backend.health()
             assert health["sessions"]["open"] > 0, name
+            stats[name] = health["stats"]
+        # The stats view derives from counters on every shape, so the
+        # same stream yields the same values, not just the same keys.
+        assert stats["plain"]["reports_ingested"] == len(city.reports)
+        assert stats["plain"] == stats["durable"] == stats["cluster"]
 
     def test_durable_and_cluster_extensions_ride_on_top(self, trio):
         durable = trio["durable"].health()
