@@ -78,6 +78,14 @@ class TravelTimeStore:
     def segment_ids(self) -> list[str]:
         return list(self._by_segment)
 
+    def count(self, segment_id: str) -> int:
+        """Number of records on one segment.
+
+        The store only grows, so this is also the segment's version: it
+        changes exactly when a record for the segment lands.
+        """
+        return len(self._by_segment.get(segment_id, ()))
+
     def records(self, segment_id: str) -> list[TravelTimeRecord]:
         """All records of a segment, ordered by entry time."""
         return list(self._by_segment.get(segment_id, ()))

@@ -29,6 +29,19 @@ Design rules of the redesigned surface:
   :class:`~repro.roadnet.index.RouteIndex` instead of scanning
   ``routes x stops`` and the full session table, and each call is
   recorded in the server's ``query`` latency histogram.
+
+Read-path reuse: between two queries almost every bus is where it was,
+so a query pays only for the buses whose inputs changed.
+:meth:`RiderAPI.live_positions` keeps a bus's :class:`LivePosition` while
+its last fix is the same object.  Departures and trip plans keep an
+:class:`ArrivalPrediction` while the bus's fix, the server's predictor,
+its live and history stores (by identity) and the record counts of every
+segment from the bus to the stop are unchanged: the stores only grow, so
+a segment's count is its version, and a traversal of any route on a
+shared segment (Eq. 8 residuals are cross-route) invalidates exactly the
+predictions that read it.  Each memo holds only the buses its last pass
+visited, so it follows the active fleet.  ``predict.calls`` counts real
+evaluations, ``predict.reused`` the answers served from the memo.
 """
 
 from __future__ import annotations
@@ -36,6 +49,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from repro.core.arrival.predictor import ArrivalPrediction
+from repro.core.positioning.trajectory import TrajectoryPoint
 from repro.core.server.server import WiLocatorServer
 from repro.geometry import LocalProjection
 from repro.roadnet.index import IndexedStop, UnknownStopError
@@ -106,6 +121,92 @@ class LivePosition:
     t: float
 
 
+def _count(metrics, name: str, n: int) -> None:
+    """Add ``n`` to a counter once per pass instead of once per bus (a
+    zero adds nothing, so no counter appears before its first unit)."""
+    if n:
+        metrics.incr(name, n)
+
+
+@dataclass(slots=True)
+class _BusArrivals:
+    """One bus's predictions from one position fix, by stop id.
+
+    ``first`` is the route index of the segment the fix lies on.  Each
+    prediction is kept with the route index of its stop's segment and the
+    record count of the segments between (the prediction's version).
+    """
+
+    fix: TrajectoryPoint
+    first: int
+    by_stop: dict[str, tuple[ArrivalPrediction | None, int, int]]
+
+
+class _RoutePass:
+    """One query's visit to one route's buses, reusing the last visit's
+    predictions and remembering only the buses this visit saw."""
+
+    def __init__(
+        self,
+        server: WiLocatorServer,
+        route: BusRoute,
+        previous: dict[str, _BusArrivals],
+    ) -> None:
+        self.server = server
+        self.route = route
+        self.previous = previous
+        self.visited: dict[str, _BusArrivals] = {}
+        self.reused = 0
+        self._prefix: list[int] | None = None
+
+    def _segment_of(self, arc: float) -> int:
+        route = self.route
+        return route.segment_index(route.position_at(arc).segment_id)
+
+    def _counts(self) -> list[int]:
+        """``prefix[i]``: live + history records on the first ``i``
+        segments.  Counts only grow, so a range sum is unchanged exactly
+        when every count in the range is."""
+        if self._prefix is None:
+            predictor = self.server.predictor
+            live, history = predictor.live, predictor.history
+            prefix = [0]
+            for sid in self.route.segment_ids:
+                prefix.append(prefix[-1] + live.count(sid) + history.count(sid))
+            self._prefix = prefix
+        return self._prefix
+
+    def bus(self, session_key: str, fix: TrajectoryPoint) -> _BusArrivals:
+        memo = self.previous.get(session_key)
+        if memo is None or memo.fix is not fix:
+            memo = _BusArrivals(fix, self._segment_of(fix.arc_length), {})
+        self.visited[session_key] = memo
+        return memo
+
+    def predict(
+        self, memo: _BusArrivals, entry: IndexedStop
+    ) -> ArrivalPrediction | None:
+        prefix = self._counts()
+        cached = memo.by_stop.get(entry.stop.stop_id)
+        if cached is not None:
+            pred, last, version = cached
+            if prefix[last + 1] - prefix[memo.first] == version:
+                self.reused += 1
+                return pred
+        else:
+            last = self._segment_of(entry.arc_length)
+        fix = memo.fix
+        pred = self.server.timed_predict_arrival(
+            self.route, fix.arc_length, fix.t, entry.stop
+        )
+        memo.by_stop[entry.stop.stop_id] = (
+            pred,
+            last,
+            prefix[last + 1] - prefix[memo.first],
+        )
+        return pred
+
+
 class RiderAPI:
     """Trip-plan queries over a running :class:`WiLocatorServer`."""
 
@@ -117,6 +218,14 @@ class RiderAPI:
     ) -> None:
         self.server = server
         self.projection = projection
+        # Read-path memos (see the module docstring).  Positions: session
+        # key -> (fix, record) of the last pass, and the projection they
+        # were built with.  Arrivals: route id -> (route, buses of its
+        # last pass), valid for one (predictor, live, history) triple.
+        self._positions: dict[str, tuple[TrajectoryPoint, LivePosition]] = {}
+        self._positions_projection = projection
+        self._arrivals: dict[str, tuple[BusRoute, dict[str, _BusArrivals]]] = {}
+        self._arrival_inputs: tuple[object, ...] = (None, None, None)
 
     @property
     def index(self):
@@ -132,6 +241,20 @@ class RiderAPI:
 
     def stops_of_route(self, route_id: str) -> list[BusStop]:
         return list(self.server.routes[route_id].stops)
+
+    def _route_pass(self, route: BusRoute) -> _RoutePass:
+        """Start a visit to one route's buses (see :class:`_RoutePass`)."""
+        predictor = self.server.predictor
+        inputs = (predictor, predictor.live, predictor.history)
+        if any(a is not b for a, b in zip(inputs, self._arrival_inputs)):
+            # Promotion, rollback, restore or reshard swapped a model or a
+            # store: nothing remembered was computed from these inputs.
+            self._arrivals = {}
+            self._arrival_inputs = inputs
+        owner, previous = self._arrivals.get(route.route_id, (route, {}))
+        visit = _RoutePass(self.server, route, previous if owner is route else {})
+        self._arrivals[route.route_id] = (route, visit.visited)
+        return visit
 
     # -- departures board ------------------------------------------------------
 
@@ -169,18 +292,17 @@ class RiderAPI:
         self, entry: IndexedStop, stop_id: str, now: float, metrics
     ) -> list[DepartureEntry]:
         out: list[DepartureEntry] = []
-        for session in self.server.sessions_on_route(
-            entry.route.route_id, now=now
-        ):
-            metrics.incr("query.traversals")
+        visit = self._route_pass(entry.route)
+        sessions = self.server.sessions_on_route(entry.route.route_id, now=now)
+        _count(metrics, "query.traversals", len(sessions))
+        for session in sessions:
             last = session.trajectory.last
             if last is None:
                 continue
+            bus = visit.bus(session.session_key, last)
             if entry.arc_length <= last.arc_length:
                 continue  # already passed
-            pred = self.server.timed_predict_arrival(
-                entry.route, last.arc_length, last.t, entry.stop
-            )
+            pred = visit.predict(bus, entry)
             if pred is None:
                 continue
             out.append(
@@ -193,6 +315,7 @@ class RiderAPI:
                     distance_away_m=entry.arc_length - last.arc_length,
                 )
             )
+        _count(metrics, "predict.reused", visit.reused)
         return out
 
     # -- trip planning -----------------------------------------------------------
@@ -243,19 +366,18 @@ class RiderAPI:
     ) -> list[TripOption]:
         out: list[TripOption] = []
         route = board.route
-        for session in self.server.sessions_on_route(route.route_id, now=now):
-            metrics.incr("query.traversals")
+        visit = self._route_pass(route)
+        sessions = self.server.sessions_on_route(route.route_id, now=now)
+        _count(metrics, "query.traversals", len(sessions))
+        for session in sessions:
             last = session.trajectory.last
             if last is None:
                 continue
+            bus = visit.bus(session.session_key, last)
             if board.arc_length <= last.arc_length:
                 continue
-            p_board = self.server.timed_predict_arrival(
-                route, last.arc_length, last.t, board.stop
-            )
-            p_alight = self.server.timed_predict_arrival(
-                route, last.arc_length, last.t, alight.stop
-            )
+            p_board = visit.predict(bus, board)
+            p_alight = visit.predict(bus, alight)
             if p_board is None or p_alight is None:
                 continue
             out.append(
@@ -268,6 +390,7 @@ class RiderAPI:
                     alight_t=p_alight.t_arrival,
                 )
             )
+        _count(metrics, "predict.reused", visit.reused)
         return out
 
     # -- live map -----------------------------------------------------------------
@@ -282,24 +405,39 @@ class RiderAPI:
         t0 = time.perf_counter()
         metrics.incr("query.live_positions")
         try:
+            if self.projection is not self._positions_projection:
+                self._positions = {}
+                self._positions_projection = self.projection
+            previous = self._positions
+            visited: dict[str, tuple[TrajectoryPoint, LivePosition]] = {}
             out: dict[str, LivePosition] = {}
-            for session in self.server.active_sessions(now=now):
-                metrics.incr("query.traversals")
+            sessions = self.server.active_sessions(now=now)
+            _count(metrics, "query.traversals", len(sessions))
+            for session in sessions:
                 last = session.trajectory.last
                 if last is None:
                     continue
-                lat = lon = None
-                if self.projection is not None:
-                    lat, lon, _ = last.as_geo(self.projection)
-                out[session.session_key] = LivePosition(
-                    session_key=session.session_key,
-                    route_id=session.route_id,
-                    x=last.point.x,
-                    y=last.point.y,
-                    lat=lat,
-                    lon=lon,
-                    t=last.t,
-                )
+                key = session.session_key
+                known = previous.get(key)
+                if known is None or known[0] is not last:
+                    known = (last, self._live_position(session, last))
+                visited[key] = known
+                out[key] = known[1]
+            self._positions = visited
             return out
         finally:
             metrics.observe("query", time.perf_counter() - t0)
+
+    def _live_position(self, session, last: TrajectoryPoint) -> LivePosition:
+        lat = lon = None
+        if self.projection is not None:
+            lat, lon, _ = last.as_geo(self.projection)
+        return LivePosition(
+            session_key=session.session_key,
+            route_id=session.route_id,
+            x=last.point.x,
+            y=last.point.y,
+            lat=lat,
+            lon=lon,
+            t=last.t,
+        )

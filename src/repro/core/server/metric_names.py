@@ -39,6 +39,7 @@ METRIC_NAMES: frozenset[str] = frozenset({
     "ingest.positions_fixed",
     "ingest.traversals_extracted",
     "predict.calls",
+    "predict.reused",
     "query.departures",
     "query.plan_trip",
     "query.live_positions",

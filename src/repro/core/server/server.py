@@ -8,7 +8,7 @@ answers rider queries (where is my bus / when does it arrive / how is
 traffic).
 
 Queries route through a :class:`~repro.roadnet.index.RouteIndex` — an
-inverted stop index plus sessions-by-route and active-session structures
+inverted stop index plus global and per-route active-session structures
 maintained incrementally by :meth:`WiLocatorServer.ingest` — and every hot
 stage is instrumented through :class:`~repro.core.server.metrics.ServerMetrics`
 (see :meth:`WiLocatorServer.metrics_snapshot`).
@@ -427,11 +427,16 @@ class WiLocatorServer:
     def sessions_on_route(
         self, route_id: str, *, now: float, timeout_s: float = 300.0
     ) -> list[BusSession]:
-        """Active sessions of one route, in session-creation order."""
+        """Active sessions of one route, in session-creation order.
+
+        Served from the index's per-route active set: cost follows the
+        route's active buses, not every session ever opened on it.
+        """
         return [
             self.sessions[key]
-            for key in self.index.session_keys_on_route(route_id)
-            if self.index.is_active(key, now, timeout_s=timeout_s)
+            for key in self.index.active_session_keys(
+                now, timeout_s=timeout_s, route_id=route_id
+            )
         ]
 
     def timed_predict_arrival(

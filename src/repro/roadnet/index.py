@@ -8,17 +8,23 @@ precomputed layers:
 
 * an inverted **stop index** — stop id -> ``[(route, stop, arc_length)]``
   with per-route arc-length tables, built once from the static route set;
-* a **sessions-by-route** secondary index, maintained incrementally by
+* an **active-session heap** — a lazy min-heap on last-report time,
+  maintained incrementally by
   :meth:`WiLocatorServer.ingest <repro.core.server.server.WiLocatorServer.ingest>`
-  via :meth:`open_session`/:meth:`note_report`;
-* an **active-session heap** — a lazy min-heap on last-report time, so
+  via :meth:`open_session`/:meth:`note_report`, so
   ``active_session_keys(now)`` touches only sessions near the staleness
-  boundary instead of rescanning the whole session table.
+  boundary instead of rescanning the whole session table;
+* a **per-route active set** beside the global one, so
+  ``active_session_keys(now, route_id=...)`` lists one route's active
+  buses without visiting every session ever opened on it.
 
 Sessions evicted by the heap are parked in a time-sorted ``expired`` list;
 queries with a *larger* timeout (or an earlier ``now``) resurrect them, so
 the index answers exactly what the full scan would for any
-``(now, timeout_s)`` combination.
+``(now, timeout_s)`` combination.  "Active" is one predicate everywhere:
+``now - last <= timeout_s`` (or no report yet), the test of
+``BusSession.is_stale``; it is never rewritten as ``last >= now -
+timeout_s``, which rounds differently at the boundary.
 """
 
 from __future__ import annotations
@@ -82,10 +88,10 @@ class _SessionLayer:
     """Mutable per-session bookkeeping (split out for readability)."""
 
     route_of: dict[str, str] = field(default_factory=dict)
-    by_route: dict[str, dict[str, None]] = field(default_factory=dict)
     last_seen: dict[str, float] = field(default_factory=dict)
     seq: dict[str, int] = field(default_factory=dict)
     active: dict[str, None] = field(default_factory=dict)
+    active_by_route: dict[str, dict[str, None]] = field(default_factory=dict)
     heap: list[tuple[float, str]] = field(default_factory=list)
     expired: list[tuple[float, str]] = field(default_factory=list)
     expired_keys: set[str] = field(default_factory=set)
@@ -123,9 +129,7 @@ class RouteIndex:
                 self.stats.stop_entries += 1
             self._arc_by_route[route.route_id] = arcs
             self.stats.routes_indexed += 1
-        self._s = _SessionLayer(
-            by_route={rid: {} for rid in self._routes}
-        )
+        self._s = _SessionLayer()
 
     # -- static stop/route layer --------------------------------------------
 
@@ -175,27 +179,25 @@ class RouteIndex:
         if session_key in s.route_of:
             raise ValueError(f"session {session_key!r} already indexed")
         s.route_of[session_key] = route_id
-        s.by_route.setdefault(route_id, {})[session_key] = None
         s.seq[session_key] = s.next_seq
         s.next_seq += 1
         s.active[session_key] = None
+        s.active_by_route.setdefault(route_id, {})[session_key] = None
         self.stats.sessions_opened += 1
 
     def note_report(self, session_key: str, t: float) -> None:
         """Record a report for a session (updates the staleness heap)."""
         s = self._s
-        if session_key not in s.route_of:
+        route_id = s.route_of.get(session_key)
+        if route_id is None:
             raise KeyError(f"session {session_key!r} is not indexed")
         if session_key in s.expired_keys:
             # The session came back to life: pull it out of the parking
             # list before its timestamp changes.
-            old = (s.last_seen[session_key], session_key)
-            i = bisect.bisect_left(s.expired, old)
-            if i < len(s.expired) and s.expired[i] == old:
-                s.expired.pop(i)
-            s.expired_keys.discard(session_key)
+            self._unpark(session_key)
         s.last_seen[session_key] = t
         s.active[session_key] = None
+        s.active_by_route.setdefault(route_id, {})[session_key] = None
         heapq.heappush(s.heap, (t, session_key))
         self.stats.heap_pushes += 1
         self.stats.reports_noted += 1
@@ -206,74 +208,78 @@ class RouteIndex:
         route_id = s.route_of.pop(session_key, None)
         if route_id is None:
             return
-        s.by_route.get(route_id, {}).pop(session_key, None)
         if session_key in s.expired_keys:
-            old = (s.last_seen[session_key], session_key)
-            i = bisect.bisect_left(s.expired, old)
-            if i < len(s.expired) and s.expired[i] == old:
-                s.expired.pop(i)
-            s.expired_keys.discard(session_key)
+            self._unpark(session_key)
         s.last_seen.pop(session_key, None)
         s.seq.pop(session_key, None)
         s.active.pop(session_key, None)
+        s.active_by_route.get(route_id, {}).pop(session_key, None)
         self.stats.sessions_dropped += 1
+
+    def _unpark(self, session_key: str) -> None:
+        """Remove a session from the expired parking list."""
+        s = self._s
+        old = (s.last_seen[session_key], session_key)
+        i = bisect.bisect_left(s.expired, old)
+        if i < len(s.expired) and s.expired[i] == old:
+            s.expired.pop(i)
+        s.expired_keys.discard(session_key)
 
     def route_of_session(self, session_key: str) -> str | None:
         return self._s.route_of.get(session_key)
 
-    def session_keys_on_route(self, route_id: str) -> list[str]:
-        """Keys of every session ever opened on a route (creation order)."""
-        return list(self._s.by_route.get(route_id, ()))
-
-    def is_active(
-        self, session_key: str, now: float, *, timeout_s: float = 300.0
-    ) -> bool:
-        """Whether a session reported within ``timeout_s`` of ``now``.
-
-        A tracked session with no report timestamp yet counts as active,
-        matching ``BusSession.is_stale``.
-        """
-        if session_key not in self._s.route_of:
-            return False
-        last = self._s.last_seen.get(session_key)
-        return last is None or now - last <= timeout_s
-
     def active_session_keys(
-        self, now: float, *, timeout_s: float = 300.0
+        self,
+        now: float,
+        *,
+        timeout_s: float = 300.0,
+        route_id: str | None = None,
     ) -> list[str]:
         """Keys of sessions still reporting as of ``now``, creation order.
 
+        A session is active when ``now - last <= timeout_s``; one with no
+        report timestamp yet counts as active, matching
+        ``BusSession.is_stale``.  With ``route_id`` only that route's
+        sessions are listed (an unknown route has none).
+
         Amortised cost is proportional to the number of *currently active*
-        sessions plus the sessions crossing the staleness boundary since
-        the last call — not the total ever opened.
+        sessions (of the route, when one is given) plus the sessions
+        crossing the staleness boundary since the last call — not the
+        total ever opened.
         """
         s = self._s
-        cutoff = now - timeout_s
-        while s.heap and s.heap[0][0] < cutoff:
+        # Float subtraction is monotone, so the stale entries are exactly
+        # a prefix of the heap order: popping stops at the first active one.
+        while s.heap and now - s.heap[0][0] > timeout_s:
             t, key = heapq.heappop(s.heap)
             self.stats.heap_pops += 1
             if key in s.active and s.last_seen.get(key) == t:
                 del s.active[key]
+                del s.active_by_route[s.route_of[key]][key]
                 bisect.insort(s.expired, (t, key))
                 s.expired_keys.add(key)
                 self.stats.sessions_evicted += 1
             # Otherwise the entry is stale (a fresher report re-pushed the
             # key, or the session was dropped): discard silently.
-        # Sessions opened but not yet reporting have no timestamp; like the
-        # seed's `is_stale`, they count as active.
-        out = [
-            k
-            for k in s.active
-            if s.last_seen.get(k) is None or s.last_seen[k] >= cutoff
-        ]
+        # Every remaining active session has its last report on the heap
+        # inside the window (or no report at all), so none needs a check.
+        if route_id is None:
+            out = list(s.active)
+        else:
+            out = list(s.active_by_route.get(route_id, ()))
         if s.expired:
             # A larger timeout (or an out-of-order `now`) can reach back
             # past earlier evictions; only the matching suffix is scanned.
-            i = bisect.bisect_left(s.expired, (cutoff, ""))
+            i = bisect.bisect_left(
+                s.expired, True, key=lambda e: now - e[0] <= timeout_s
+            )
             for t, key in s.expired[i:]:
-                if key in s.expired_keys and s.last_seen.get(key) == t:
-                    out.append(key)
-                    self.stats.sessions_resurrected += 1
+                if key not in s.expired_keys or s.last_seen.get(key) != t:
+                    continue
+                if route_id is not None and s.route_of[key] != route_id:
+                    continue
+                out.append(key)
+                self.stats.sessions_resurrected += 1
         out.sort(key=s.seq.__getitem__)
         return out
 

@@ -57,7 +57,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol
 
-from repro.core.server.api import RiderAPI, UnknownStopError
+from repro.core.server.api import LivePosition, RiderAPI, UnknownStopError
 from repro.core.server.backend import ServingBackend
 from repro.core.server.metrics import ServerMetrics
 from repro.fusion.adapters import normalize_payload
@@ -66,7 +66,7 @@ from repro.pipeline.wal import report_from_dict
 from repro.radio.environment import Reading
 from repro.sensing.reports import ScanReport
 from repro.serving.errors import WireError, WireErrorCode
-from repro.serving.http import Request, Response
+from repro.serving.http import Request, Response, canonical_json
 from repro.serving.wire import summarize_session, to_wire
 
 if TYPE_CHECKING:
@@ -174,6 +174,10 @@ class ServingApp:
         self.backend = backend
         self.queries = queries
         self.lifecycle = lifecycle
+        # ``/v1/positions`` rows of the last call: session key -> (the
+        # LivePosition, its encoded ``"key":{...}`` member).  A row is
+        # reused while the query surface returns the same record object.
+        self._position_rows: dict[str, tuple[LivePosition, str]] = {}
         self.metrics = metrics if metrics is not None else ServerMetrics()
         overrides = dict(slos or {})
         self.endpoints: dict[str, dict[str, Endpoint]] = {}
@@ -426,14 +430,18 @@ class ServingApp:
     def _h_positions(self, request: Request) -> Response:
         now = _require_float(request.query, "now")
         positions = self.queries.live_positions(now=now)
-        return Response(
-            200,
-            {
-                "positions": {
-                    key: to_wire(positions[key]) for key in sorted(positions)
-                }
-            },
-        )
+        previous = self._position_rows
+        rows: dict[str, tuple[LivePosition, str]] = {}
+        for key in sorted(positions):
+            position = positions[key]
+            row = previous.get(key)
+            if row is None or row[0] is not position:
+                member = canonical_json(key) + ":" + canonical_json(to_wire(position))
+                row = (position, member)
+            rows[key] = row
+        self._position_rows = rows
+        body = '{"positions":{' + ",".join(r[1] for r in rows.values()) + "}}"
+        return Response(200, encoded=body.encode("utf-8"))
 
     def _h_position(self, request: Request) -> Response:
         session = _require_str(request.query, "session")

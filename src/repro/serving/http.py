@@ -36,6 +36,7 @@ __all__ = [
     "Request",
     "Response",
     "parse_request",
+    "canonical_json",
     "encode_response",
     "HttpServer",
     "MAX_REQUEST_BYTES",
@@ -77,10 +78,16 @@ class Request:
 
 @dataclass(frozen=True, slots=True)
 class Response:
-    """One JSON response about to be encoded."""
+    """One JSON response about to be encoded.
+
+    A handler that assembles its body from already-encoded parts passes
+    the finished :func:`canonical_json` bytes as ``encoded`` (and leaves
+    ``body`` empty); :func:`encode_response` then sends them as they are.
+    """
 
     status: int
     body: dict[str, Any] = field(default_factory=dict)
+    encoded: bytes | None = None
 
 
 def _parse_query(raw: str) -> dict[str, str]:
@@ -147,11 +154,18 @@ def parse_request(raw: bytes) -> Request:
     )
 
 
+def canonical_json(value: Any) -> str:
+    """The one JSON rule of every response: sorted keys, no whitespace,
+    ASCII output.  An object joined from members encoded one by one, in
+    sorted key order, is byte-equal to one call on the whole object."""
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+
+
 def encode_response(response: Response, *, keep_alive: bool = True) -> bytes:
     """Serialise a :class:`Response` to HTTP/1.1 bytes."""
-    payload = json.dumps(
-        response.body, separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
+    payload = response.encoded
+    if payload is None:
+        payload = canonical_json(response.body).encode("utf-8")
     reason = _REASONS.get(response.status, "Unknown")
     head = (
         f"HTTP/1.1 {response.status} {reason}\r\n"

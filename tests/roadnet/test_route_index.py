@@ -1,5 +1,7 @@
 """RouteIndex: inverted stop index, session layer, staleness heap."""
 
+import math
+
 import pytest
 
 from repro.roadnet.index import RouteIndex, UnknownStopError
@@ -69,8 +71,9 @@ class TestSessionLayer:
         index.open_session("bus:a", "r1")
         assert index.route_of_session("bus:a") == "r1"
         assert index.route_of_session("bus:zz") is None
-        assert index.session_keys_on_route("r1") == ["bus:a"]
-        assert index.session_keys_on_route("r2") == []
+        assert index.active_session_keys(0.0, route_id="r1") == ["bus:a"]
+        assert index.active_session_keys(0.0, route_id="r2") == []
+        assert index.active_session_keys(0.0, route_id="nope") == []
 
     def test_duplicate_open_raises(self, routes):
         index = RouteIndex(routes)
@@ -82,7 +85,7 @@ class TestSessionLayer:
         # Matches BusSession.is_stale: no report timestamp yet -> active.
         index = RouteIndex(routes)
         index.open_session("bus:a", "r1")
-        assert index.is_active("bus:a", now=1e9)
+        assert index.active_session_keys(1e9, route_id="r1") == ["bus:a"]
         assert index.active_session_keys(1e9) == ["bus:a"]
 
     def test_staleness_eviction(self, routes):
@@ -94,7 +97,7 @@ class TestSessionLayer:
         assert index.active_session_keys(400.0) == ["bus:a", "bus:b"]
         # bus:a (last seen 100.0) falls out of the 300 s window
         assert index.active_session_keys(600.0) == ["bus:b"]
-        assert not index.is_active("bus:a", 600.0)
+        assert index.active_session_keys(600.0, route_id="r1") == ["bus:b"]
         snap = index.snapshot()
         assert snap["sessions_evicted"] == 1
         assert snap["expired_parked"] == 1
@@ -132,9 +135,8 @@ class TestSessionLayer:
         index.note_report("bus:a", 10.0)
         index.drop_session("bus:a")
         assert index.route_of_session("bus:a") is None
-        assert index.session_keys_on_route("r1") == []
+        assert index.active_session_keys(10.0, route_id="r1") == []
         assert index.active_session_keys(10.0) == []
-        assert not index.is_active("bus:a", 10.0)
         index.drop_session("bus:zz")  # unknown keys are a no-op
 
     def test_matches_full_scan_under_churn(self, routes):
@@ -148,9 +150,10 @@ class TestSessionLayer:
             ("s3", 350.0), ("s2", 1300.0), ("s4", 40.0), ("s1", 1310.0),
         ]
         opened: list[str] = []
+        route_of = {"s0": "r1", "s1": "r2", "s2": "r1", "s3": "r2", "s4": "r1"}
         for key, t in times:
             if key not in last_seen:
-                index.open_session(key, "r1")
+                index.open_session(key, route_of[key])
                 opened.append(key)
             index.note_report(key, t)
             last_seen[key] = t
@@ -164,3 +167,43 @@ class TestSessionLayer:
             assert (
                 index.active_session_keys(now, timeout_s=timeout) == expected
             ), (now, timeout)
+            for rid in ("r1", "r2"):
+                assert index.active_session_keys(
+                    now, timeout_s=timeout, route_id=rid
+                ) == [k for k in expected if route_of[k] == rid], (now, rid)
+
+    def test_boundary_uses_the_session_predicate(self, routes):
+        # `now - last <= timeout` and `last >= now - timeout` round
+        # differently here: 326.5375351775711 - 300.0 > 26.537535177571097
+        # although the difference is exactly 300.0.  The index must answer
+        # BusSession.is_stale's form on both the global and per-route path.
+        t, now = 26.537535177571097, 326.5375351775711
+        assert now - t <= 300.0 and not t >= now - 300.0
+        below = math.nextafter(t, -math.inf)
+        above = math.nextafter(t, math.inf)
+        for probe_t in (below, t, above):
+            index = RouteIndex(routes)
+            index.open_session("bus:a", "r1")
+            index.note_report("bus:a", probe_t)
+            want = ["bus:a"] if now - probe_t <= 300.0 else []
+            assert index.active_session_keys(now, route_id="r1") == want
+            assert index.active_session_keys(now) == want
+            # evicted by a later query, the parked entry resurrects under
+            # the same predicate
+            assert index.active_session_keys(now + 1000.0) == []
+            assert index.active_session_keys(now, route_id="r1") == want
+            assert index.active_session_keys(now) == want
+
+    def test_per_route_listing_follows_reactivation(self, routes):
+        index = RouteIndex(routes)
+        for key, rid in (("bus:a", "r1"), ("bus:b", "r2"), ("bus:c", "r1")):
+            index.open_session(key, rid)
+            index.note_report(key, 100.0)
+        assert index.active_session_keys(1000.0, route_id="r1") == []
+        index.note_report("bus:c", 900.0)
+        index.note_report("bus:a", 950.0)  # back to life after bus:c
+        # creation order, not reactivation order
+        assert index.active_session_keys(1000.0, route_id="r1") == [
+            "bus:a", "bus:c",
+        ]
+        assert index.active_session_keys(1000.0, route_id="r2") == []

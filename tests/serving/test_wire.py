@@ -31,6 +31,8 @@ from repro.geometry import Point
 from repro.radio.environment import Reading
 from repro.sensing.reports import ScanReport
 from repro.serving import WIRE_KINDS, SessionSummary, from_wire, to_wire
+from repro.serving.app import ServingApp
+from repro.serving.http import Request, encode_response
 
 pytestmark = pytest.mark.serving
 
@@ -233,3 +235,53 @@ class TestCodecEdges:
 
     def test_as_tuple_is_gone(self):
         assert not hasattr(LivePosition, "as_tuple")
+
+
+any_float = st.floats()
+any_positions = st.builds(
+    LivePosition,
+    session_key=st.text(max_size=8),
+    route_id=st.text(max_size=8),
+    x=any_float,
+    y=any_float,
+    lat=st.none() | any_float,
+    lon=st.none() | any_float,
+    t=any_float,
+)
+
+
+class _Positions:
+    """A query surface whose live map the test sets before each call."""
+
+    def __init__(self) -> None:
+        self.current: dict[str, LivePosition] = {}
+
+    def live_positions(self, *, now):
+        return self.current
+
+
+class TestPositionsBody:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_assembled_body_is_the_canonical_dump(self, data):
+        # Successive maps keep some record objects from the previous one
+        # (their encoded rows are reused) and draw new ones, with
+        # non-ASCII keys, missing lat/lon and non-finite floats.
+        surface = _Positions()
+        app = ServingApp(backend=None, queries=surface)
+        previous: dict[str, LivePosition] = {}
+        for _ in range(data.draw(st.integers(1, 4))):
+            kept = data.draw(st.sets(st.sampled_from(sorted(previous)))) if previous else set()
+            fresh = data.draw(st.dictionaries(st.text(max_size=8), any_positions, max_size=6))
+            current = {**{k: previous[k] for k in kept}, **fresh}
+            surface.current = current
+            raw = encode_response(
+                app.dispatch(Request("GET", "/v1/positions", {"now": "0"}, {}, b""))
+            )
+            want = json.dumps(
+                {"positions": {k: to_wire(v) for k, v in current.items()}},
+                separators=(",", ":"),
+                sort_keys=True,
+            )
+            assert raw.partition(b"\r\n\r\n")[2] == want.encode()
+            previous = current
