@@ -3,7 +3,7 @@
 Builds a 50-route / 2000-session synthetic city, replays it through the
 server, and compares the *work units* (routes + stops + sessions examined)
 of the indexed ``RiderAPI`` queries against the seed's linear-scan
-implementations preserved in :mod:`repro.core.server.reference`.  Both
+implementations preserved in :mod:`tests.reference`.  Both
 sides count the same units — the indexed path in the ``query.traversals``
 server metric, the linear path in a :class:`TraversalCounter` — so the
 assertion is independent of machine speed.
@@ -15,13 +15,16 @@ Acceptance criteria exercised here:
 * results stay byte-identical to the linear implementations;
 * ``metrics_snapshot()`` reports non-zero SVD match-cache hit rates after
   the warm replay (each session uploads repeat scans);
-* the indexed traversal totals are exactly one unit per serving route
-  plus one per active bus on it (205 for the hub board, 41 for the trip
-  plan at this scale);
-* read-path reuse: a repeated query with no ingest between makes no
-  predictor evaluation (``predict.calls``), and one bus's ingest
-  re-evaluates only that bus's predictions and those whose segments
-  (bus to stop) gained a traversal.
+* a cold board's traversal totals are exactly one unit per serving
+  route, one per active bus joining the board and one per prediction
+  row folded (405 for the hub board, 121 for the trip plan at this
+  scale);
+* the rider board: a repeated query with no ingest between re-folds no
+  row and makes no predictor evaluation (``predict.calls``); one bus's
+  ingest re-evaluates only that bus's predictions and those whose
+  segments (bus to stop) gained a traversal; a query's work follows the
+  scans since the previous query, not the fleet (equal units at 1x, 2x
+  and 4x ``sessions_per_route``).
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import banner, show
-from repro.core.server.reference import (
+from repro.core.server import RiderAPI
+from tests.reference import (
     TraversalCounter,
     linear_active_sessions,
     linear_departures,
@@ -85,7 +89,7 @@ class TestPerfServerQueries:
         assert len(sessions) == NUM_ROUTES * SESSIONS_PER_ROUTE
 
     def test_departures_traversal_reduction(self, city):
-        api = city.api
+        api = RiderAPI(city.server)
         indexed, touched = indexed_traversals(
             # huge max_entries: compare the full boards, not a prefix
             city,
@@ -102,9 +106,9 @@ class TestPerfServerQueries:
             counter=counter,
         )
         assert indexed == linear  # byte-identical boards
-        assert touched == len(city.hub_route_ids) + active_on(
+        assert touched == len(city.hub_route_ids) + 2 * active_on(
             city, city.hub_route_ids
-        ) == 205
+        ) == 405
         ratio = counter.total / touched
         banner("Perf: indexed departures vs linear scan")
         show(
@@ -116,7 +120,7 @@ class TestPerfServerQueries:
         assert ratio >= 5.0
 
     def test_plan_trip_traversal_reduction(self, city):
-        api = city.api
+        api = RiderAPI(city.server)
         hub_rid = city.hub_route_ids[0]
         origin = city.stop_id_on(hub_rid, 0)
         indexed, touched = indexed_traversals(
@@ -128,7 +132,9 @@ class TestPerfServerQueries:
             city.server, origin, city.hub_stop_id, city.now, counter=counter
         )
         assert indexed == linear
-        assert touched == 1 + active_on(city, [hub_rid]) == 41
+        # The route's buses join the board, then fold into the boarding
+        # and the alighting stop's rows.
+        assert touched == 1 + 3 * active_on(city, [hub_rid]) == 121
         ratio = counter.total / touched
         show(
             f"  trip plan:      indexed touched {touched} units, "
@@ -237,3 +243,78 @@ class TestReadPathReuse:
             f"  reuse: one ingest on {rid} re-evaluated {made} of "
             f"{len(board)} hub predictions"
         )
+
+
+class TestRiderBoard:
+    """Rows folded (``query.traversals``) as the work unit."""
+
+    @staticmethod
+    def queries(city, api):
+        hub_rid = city.hub_route_ids[0]
+        origin = city.stop_id_on(hub_rid, 1)
+        return {
+            "departures": lambda: api.departures(city.hub_stop_id, now=city.now),
+            "trip_plan": lambda: api.plan_trip(origin, city.hub_stop_id, now=city.now),
+            "positions": lambda: api.live_positions(now=city.now),
+        }
+
+    @staticmethod
+    def gate_reports(city):
+        """A new bus on a hub route, up to (not including) the report that
+        completes its first segment: its scans move only its own fix."""
+        rid = city.hub_route_ids[0]
+        probe = city.fresh_twin()
+        probe.replay()
+        out = []
+        for report in city.bus_reports(
+            rid, "bus:gate", t_start=city.now - 200.0, speed_mps=5.0
+        ):
+            probe.server.ingest(report)
+            if probe.server.metrics.counter("ingest.traversals_extracted"):
+                break
+            out.append(report)
+        assert len(out) >= 3
+        return out
+
+    def test_repeated_query_refolds_nothing(self):
+        city = build_linear_city(num_routes=10, sessions_per_route=40, hub_every=5)
+        city.replay()
+        queries = self.queries(city, city.api)
+        for fn in queries.values():
+            fn()
+        again = {
+            name: counted(city, "query.traversals", fn)[1]
+            for name, fn in queries.items()
+        }
+        # Only the routes visited: no row joins, folds or re-predicts.
+        assert again == {
+            "departures": len(city.hub_route_ids),
+            "trip_plan": 1,
+            "positions": 0,
+        }
+
+    def test_query_work_follows_the_scans_not_the_fleet(self):
+        units = {}
+        for scale in (1, 2, 4):
+            city = build_linear_city(
+                num_routes=10, sessions_per_route=10 * scale, hub_every=5
+            )
+            city.replay()
+            queries = self.queries(city, city.api)
+            for fn in queries.values():
+                fn()
+            per_query = []
+            reports = self.gate_reports(city)
+            for report in reports:
+                city.server.ingest(report)
+                for name, fn in queries.items():
+                    per_query.append((name, counted(city, "query.traversals", fn)[1]))
+            units[scale] = per_query
+        assert units[1] == units[2] == units[4]
+        # Each scan moves one fix: the first query folds its row and its
+        # hub prediction row, the trip plan its boarding-stop row.
+        hub_routes = len(city.hub_route_ids)
+        assert units[1] == [
+            ("departures", hub_routes + 2), ("trip_plan", 1 + 1), ("positions", 0)
+        ] * len(reports)
+        show(f"  board: {len(reports)} scans, equal per-query units at 1x/2x/4x fleets")

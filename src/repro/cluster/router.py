@@ -26,7 +26,13 @@ from typing import ClassVar, Iterable, Mapping, Sequence
 
 from repro.core.arrival.predictor import ArrivalPrediction
 from repro.core.positioning.trajectory import TrajectoryPoint
-from repro.core.server.api import DepartureEntry, LivePosition, RiderAPI, TripOption
+from repro.core.server.api import (
+    DepartureEntry,
+    LivePositions,
+    RiderAPI,
+    TripOption,
+    check_query,
+)
 from repro.core.server.metrics import ServerMetrics
 from repro.core.server.server import UnknownStopError
 from repro.core.server.session import BusSession
@@ -438,6 +444,7 @@ class ClusterRouter:
         t0 = time.perf_counter()
         self.metrics.incr("query.departures")
         try:
+            check_query(now, max_entries)
             if not self._stop_known(stop_id):
                 raise UnknownStopError(f"no stop {stop_id!r} on any route")
             entries: list[DepartureEntry] = []
@@ -473,6 +480,7 @@ class ClusterRouter:
         t0 = time.perf_counter()
         self.metrics.incr("query.plan_trip")
         try:
+            check_query(now)
             if not self._stop_known(from_stop_id):
                 raise UnknownStopError(f"no stop {from_stop_id!r} on any route")
             if not self._stop_known(to_stop_id):
@@ -498,19 +506,20 @@ class ClusterRouter:
         finally:
             self.metrics.observe("query", time.perf_counter() - t0)
 
-    def live_positions(self, *, now: float) -> dict[str, LivePosition]:
+    def live_positions(self, *, now: float) -> LivePositions:
         """Current position of every active bus on every live shard."""
         t0 = time.perf_counter()
         self.metrics.incr("query.live_positions")
         try:
-            merged: dict[str, LivePosition] = {}
+            check_query(now)
+            parts = []
             for sid in self.live_shard_ids():
                 got = self._guarded(
                     sid, self._rider_api(sid).live_positions, now=now
                 )
                 if got is not _SKIPPED:
-                    merged.update(got)
-            return merged
+                    parts.append(got)
+            return LivePositions.merge(parts)
         finally:
             self.metrics.observe("query", time.perf_counter() - t0)
 

@@ -58,15 +58,18 @@ class TravelTimeStore:
     def __init__(self, records: Iterable[TravelTimeRecord] = ()) -> None:
         self._by_segment: dict[str, list[TravelTimeRecord]] = {}
         self._entry_times: dict[str, list[float]] = {}
+        self._versions: dict[str, int] = {}
         for r in records:
             self.add(r)
 
     def add(self, record: TravelTimeRecord) -> None:
-        lst = self._by_segment.setdefault(record.segment_id, [])
-        times = self._entry_times.setdefault(record.segment_id, [])
+        sid = record.segment_id
+        lst = self._by_segment.setdefault(sid, [])
+        times = self._entry_times.setdefault(sid, [])
         i = bisect.bisect_right(times, record.t_enter)
         lst.insert(i, record)
         times.insert(i, record.t_enter)
+        self._versions[sid] = self._versions.get(sid, 0) + 1
 
     def add_many(self, records: Iterable[TravelTimeRecord]) -> None:
         for r in records:
@@ -78,13 +81,10 @@ class TravelTimeStore:
     def segment_ids(self) -> list[str]:
         return list(self._by_segment)
 
-    def count(self, segment_id: str) -> int:
-        """Number of records on one segment.
-
-        The store only grows, so this is also the segment's version: it
-        changes exactly when a record for the segment lands.
-        """
-        return len(self._by_segment.get(segment_id, ()))
+    def version(self, segment_id: str) -> int:
+        """A number that grows every time a record lands on the segment
+        (0 before the first), whatever else happens to the store."""
+        return self._versions.get(segment_id, 0)
 
     def records(self, segment_id: str) -> list[TravelTimeRecord]:
         """All records of a segment, ordered by entry time."""

@@ -30,24 +30,51 @@ Design rules of the redesigned surface:
   ``routes x stops`` and the full session table, and each call is
   recorded in the server's ``query`` latency histogram.
 
-Read-path reuse: between two queries almost every bus is where it was,
-so a query pays only for the buses whose inputs changed.
-:meth:`RiderAPI.live_positions` keeps a bus's :class:`LivePosition` while
-its last fix is the same object.  Departures and trip plans keep an
-:class:`ArrivalPrediction` while the bus's fix, the server's predictor,
-its live and history stores (by identity) and the record counts of every
-segment from the bus to the stop are unchanged: the stores only grow, so
-a segment's count is its version, and a traversal of any route on a
-shared segment (Eq. 8 residuals are cross-route) invalidates exactly the
-predictions that read it.  Each memo holds only the buses its last pass
-visited, so it follows the active fleet.  ``predict.calls`` counts real
-evaluations, ``predict.reused`` the answers served from the memo.
+The rider board: each :class:`RiderAPI` answers from a board of per-bus
+rows that it folds on the query, so a query pays for the buses changed
+since the previous query, the buses that crossed the activity boundary,
+and the output it returns — never for the whole active fleet.
+
+* *Position rows* (:class:`PositionRow`) hold the buses active at the
+  board's ``now`` that have a fix, in session-key order.  Ingest marks a
+  session dirty in the index's change feed (it moves to the end of one
+  dict in :meth:`~repro.roadnet.index.RouteIndex.note_report`); the fold
+  rebuilds the row only when the bus's last fix is a new object.  A
+  route joins the board on the first query that asks about it.
+* *Moving ``now``*: activity ``now - t <= timeout_s`` is monotone in
+  ``now``.  A later ``now`` answers a subset — the rows whose sessions
+  the index parked in between, found by bisecting its time-sorted
+  expired list — and an earlier ``now`` a superset, the parked sessions
+  active again at it.  Both use the session predicate itself, so the
+  ulp boundary of ``BusSession.is_stale`` holds.
+* *Prediction rows*: per (route, stop) riders asked about, one row per
+  active bus not yet past the stop, kept sorted by ETA.  A row is
+  recomputed only when the bus's fix or its activity changed, when a
+  segment between the bus and the stop gained a record (its
+  :meth:`~repro.core.arrival.history.TravelTimeStore.version` moved —
+  Eq. 8 residuals are cross-route), or when the predictor or one of its
+  stores is a new object.  Departures and trip plans share these rows.
+* A new :class:`~repro.roadnet.index.RouteIndex` (restore, reshard)
+  rebuilds the board.  A position row's ``lat``/``lon`` depend only on
+  its fix, so the API's projection is applied as the row is built.
+
+Memory follows the active fleet times the stops riders ask about: a bus
+leaving the board leaves every prediction row of its route at once, and
+a stop's pending marks name only buses still on the board, so a stop
+asked about once holds no more than its route's active buses.
+``predict.calls`` counts real evaluations, ``predict.reused`` the
+predictions answers read from the board without one, and
+``query.traversals`` the routes visited plus the rows folded.
 """
 
 from __future__ import annotations
 
+import bisect
 import time
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping
 
 from repro.core.arrival.predictor import ArrivalPrediction
 from repro.core.positioning.trajectory import TrajectoryPoint
@@ -60,9 +87,15 @@ __all__ = [
     "DepartureEntry",
     "TripOption",
     "LivePosition",
+    "LivePositions",
+    "PositionRow",
     "RiderAPI",
     "UnknownStopError",
+    "check_query",
 ]
+
+#: The activity window of rider queries (the index's default).
+_TIMEOUT_S = 300.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,90 +154,318 @@ class LivePosition:
     t: float
 
 
+@dataclass(slots=True)
+class PositionRow:
+    """One bus on the live map.
+
+    ``wire`` is an opaque slot for the serving layer's encoding of the
+    row; a row is never mutated otherwise, and a new fix makes a new row.
+    """
+
+    key: str
+    position: LivePosition
+    fix: TrajectoryPoint | None = None
+    wire: str | None = None
+
+
+_KEY = attrgetter("key")
+
+
+class LivePositions(Mapping[str, LivePosition]):
+    """A read-only snapshot of the live map: session key -> position.
+
+    ``rows`` are its :class:`PositionRow` objects in session-key order.
+    """
+
+    __slots__ = ("rows", "_map")
+
+    def __init__(self, rows: list[PositionRow]) -> None:
+        self.rows = rows
+        self._map: dict[str, LivePosition] | None = None
+
+    @classmethod
+    def of(cls, positions: Mapping[str, LivePosition]) -> LivePositions:
+        """``positions`` as a snapshot (a snapshot is returned as is)."""
+        if isinstance(positions, cls):
+            return positions
+        return cls([PositionRow(k, positions[k]) for k in sorted(positions)])
+
+    @classmethod
+    def merge(cls, parts: Iterable[LivePositions]) -> LivePositions:
+        """One snapshot of several boards (a cluster's shards); a key on
+        several boards keeps the last one's row, as ``dict.update``."""
+        parts = list(parts)
+        # Each part is sorted, and sorting runs is a merge.
+        rows = sorted(chain.from_iterable(p.rows for p in parts), key=_KEY)
+        if len(set(map(_KEY, rows))) != len(rows):
+            rows = list({row.key: row for row in rows}.values())
+        return cls(rows)
+
+    def _positions(self) -> dict[str, LivePosition]:
+        if self._map is None:
+            self._map = {row.key: row.position for row in self.rows}
+        return self._map
+
+    def __getitem__(self, key: str) -> LivePosition:
+        return self._positions()[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._positions())
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def _live_position(
+    session_key: str,
+    route_id: str,
+    fix: TrajectoryPoint,
+    projection: LocalProjection | None,
+) -> LivePosition:
+    lat = lon = None
+    if projection is not None:
+        lat, lon, _ = fix.as_geo(projection)
+    return LivePosition(
+        session_key=session_key,
+        route_id=route_id,
+        x=fix.point.x,
+        y=fix.point.y,
+        lat=lat,
+        lon=lon,
+        t=fix.t,
+    )
+
+
+def check_query(now: float, max_entries: int = 0) -> None:
+    """Reject a clock the board cannot order by, and a negative limit."""
+    if now != now:
+        raise ValueError("now must be a number, got nan")
+    if max_entries < 0:
+        raise ValueError(f"max_entries must be >= 0, got {max_entries}")
+
+
 def _count(metrics, name: str, n: int) -> None:
-    """Add ``n`` to a counter once per pass instead of once per bus (a
+    """Add ``n`` to a counter once per query instead of once per row (a
     zero adds nothing, so no counter appears before its first unit)."""
     if n:
         metrics.incr(name, n)
 
 
 @dataclass(slots=True)
-class _BusArrivals:
-    """One bus's predictions from one position fix, by stop id.
-
-    ``first`` is the route index of the segment the fix lies on.  Each
-    prediction is kept with the route index of its stop's segment and the
-    record count of the segments between (the prediction's version).
-    """
+class _Arrival:
+    """One bus's prediction for one stop, from one fix.  ``first`` is the
+    route index of the fix's segment; ``made`` the query that evaluated
+    the prediction."""
 
     fix: TrajectoryPoint
     first: int
-    by_stop: dict[str, tuple[ArrivalPrediction | None, int, int]]
+    pred: ArrivalPrediction | None
+    made: int
 
 
-class _RoutePass:
-    """One query's visit to one route's buses, reusing the last visit's
-    predictions and remembering only the buses this visit saw."""
+class _StopBoard:
+    """One stop on one route: the predictions of the route's active buses
+    not yet past it, soonest first."""
+
+    def __init__(self, entry: IndexedStop, keys: Iterable[str]) -> None:
+        route = entry.route
+        self.entry = entry
+        self.segment_ids = route.segment_ids[: _segment_of(route, entry.arc_length) + 1]
+        #: Buses on the board whose row changed since the last fold.
+        self.dirty: dict[str, None] = dict.fromkeys(keys)
+        self.arrivals: dict[str, _Arrival] = {}
+        #: route index of a fix's segment -> the buses there.
+        self.by_first: dict[int, dict[str, None]] = {}
+        #: (eta_t, session key) of every prediction that is not None.
+        self.order: list[tuple[float, str]] = []
+        self.versions: list[int] | None = None
+
+    def fold(self, board: _Board) -> int:
+        """Bring the rows up to date; returns the rows re-examined."""
+        predictor = board.server.predictor
+        live, history = predictor.live, predictor.history
+        versions = [live.version(s) + history.version(s) for s in self.segment_ids]
+        redo, self.dirty = self.dirty, {}
+        stale: dict[str, None] = {}
+        if self.versions is not None and versions != self.versions:
+            # A bus reads every segment from its own up to the stop's, so
+            # the buses at or behind the furthest changed one re-predict.
+            ahead = max(
+                i for i, (a, b) in enumerate(zip(versions, self.versions)) if a != b
+            )
+            for i in range(ahead + 1):
+                stale.update(self.by_first.get(i, ()))
+        self.versions = versions
+        if not redo and not stale:
+            return 0
+        route = self.entry.route
+        rows = board.by_route[route.route_id]
+        arc = self.entry.arc_length
+        for key in {**redo, **stale}:
+            old = self.arrivals.pop(key, None)
+            if old is not None:
+                self._unlink(key, old)
+            row = rows[key]
+            if arc <= row.fix.arc_length:
+                continue  # already passed the stop
+            new = old
+            if old is None or old.fix is not row.fix or key in stale:
+                fix = row.fix
+                new = _Arrival(
+                    fix,
+                    _segment_of(route, fix.arc_length),
+                    board.server.timed_predict_arrival(
+                        route, fix.arc_length, fix.t, self.entry.stop
+                    ),
+                    board.queries,
+                )
+            self._link(key, new)
+        return len(redo) + len(stale)
+
+    def forget(self, key: str) -> None:
+        """Drop a bus that left the board."""
+        self.dirty.pop(key, None)
+        old = self.arrivals.pop(key, None)
+        if old is not None:
+            self._unlink(key, old)
+
+    def _link(self, key: str, a: _Arrival) -> None:
+        self.arrivals[key] = a
+        self.by_first.setdefault(a.first, {})[key] = None
+        if a.pred is not None:
+            bisect.insort(self.order, (a.pred.t_arrival, key))
+
+    def _unlink(self, key: str, a: _Arrival) -> None:
+        del self.by_first[a.first][key]
+        if a.pred is not None:
+            order = self.order
+            del order[bisect.bisect_left(order, (a.pred.t_arrival, key))]
+
+
+def _segment_of(route: BusRoute, arc: float) -> int:
+    return route.segment_index(route.position_at(arc).segment_id)
+
+
+class _Board:
+    """The rider board of one :class:`RiderAPI` over one route index (see
+    the module docstring)."""
 
     def __init__(
-        self,
-        server: WiLocatorServer,
-        route: BusRoute,
-        previous: dict[str, _BusArrivals],
+        self, server: WiLocatorServer, projection: LocalProjection | None
     ) -> None:
         self.server = server
-        self.route = route
-        self.previous = previous
-        self.visited: dict[str, _BusArrivals] = {}
-        self.reused = 0
-        self._prefix: list[int] | None = None
+        self.index = server.index
+        self.projection = projection
+        self.mark = 0
+        #: The board's clock; None until the first query builds it.
+        self.now: float | None = None
+        #: Active buses with a fix: session keys in order, their rows.
+        self.keys: list[str] = []
+        self.rows: list[PositionRow] = []
+        self.by_route: dict[str, dict[str, PositionRow]] = {}
+        self.stops: dict[tuple[str, str], _StopBoard] = {}
+        self.stops_on: dict[str, list[_StopBoard]] = {}
+        self.inputs: tuple[object, ...] = ()
+        #: Queries answered so far (stamps each prediction's evaluation).
+        self.queries = 0
 
-    def _segment_of(self, arc: float) -> int:
-        route = self.route
-        return route.segment_index(route.position_at(arc).segment_id)
-
-    def _counts(self) -> list[int]:
-        """``prefix[i]``: live + history records on the first ``i``
-        segments.  Counts only grow, so a range sum is unchanged exactly
-        when every count in the range is."""
-        if self._prefix is None:
-            predictor = self.server.predictor
-            live, history = predictor.live, predictor.history
-            prefix = [0]
-            for sid in self.route.segment_ids:
-                prefix.append(prefix[-1] + live.count(sid) + history.count(sid))
-            self._prefix = prefix
-        return self._prefix
-
-    def bus(self, session_key: str, fix: TrajectoryPoint) -> _BusArrivals:
-        memo = self.previous.get(session_key)
-        if memo is None or memo.fix is not fix:
-            memo = _BusArrivals(fix, self._segment_of(fix.arc_length), {})
-        self.visited[session_key] = memo
-        return memo
-
-    def predict(
-        self, memo: _BusArrivals, entry: IndexedStop
-    ) -> ArrivalPrediction | None:
-        prefix = self._counts()
-        cached = memo.by_stop.get(entry.stop.stop_id)
-        if cached is not None:
-            pred, last, version = cached
-            if prefix[last + 1] - prefix[memo.first] == version:
-                self.reused += 1
-                return pred
+    def advance(self, now: float) -> int:
+        """Move the board to ``now``; returns the position rows folded."""
+        self.queries += 1
+        index = self.index
+        if self.now is None:
+            self.now = now
+            self.mark = index.change_mark()
+            return 0
+        changed = index.changed_since(self.mark)
+        self.mark = index.change_mark()
+        folded = len(changed)
+        for key in changed:
+            self._put(key, now)
+        # Every session inactive at the later of the two clocks is parked
+        # afterwards, so the buses crossing the boundary between them are
+        # one slice of the expired list.
+        before = self.now
+        index.evict(max(now, before), timeout_s=_TIMEOUT_S)
+        if now > before:
+            crossed = index.expired_between(before, now, timeout_s=_TIMEOUT_S)
         else:
-            last = self._segment_of(entry.arc_length)
-        fix = memo.fix
-        pred = self.server.timed_predict_arrival(
-            self.route, fix.arc_length, fix.t, entry.stop
-        )
-        memo.by_stop[entry.stop.stop_id] = (
-            pred,
-            last,
-            prefix[last + 1] - prefix[memo.first],
-        )
-        return pred
+            crossed = index.expired_between(now, before, timeout_s=_TIMEOUT_S)
+        for key in crossed:
+            self._put(key, now)
+        self.now = now
+        return folded + len(crossed)
+
+    def open(self, route_ids: Iterable[str]) -> int:
+        """Put the active buses of routes not on the board yet on it;
+        returns the rows folded.  Routes join on their first query, so a
+        query never pays for routes it does not ask about."""
+        folded = 0
+        for route_id in route_ids:
+            if route_id in self.by_route:
+                continue
+            self.by_route[route_id] = {}
+            keys = self.index.active_session_keys(
+                self.now, timeout_s=_TIMEOUT_S, route_id=route_id
+            )
+            for key in keys:
+                self._put(key, self.now)
+            folded += len(keys)
+        return folded
+
+    def _put(self, key: str, now: float) -> None:
+        """Place one bus as of ``now``: (re)build, keep or drop its row."""
+        session = self.server.sessions.get(key)
+        fix = None if session is None else session.trajectory.last
+        if fix is not None and session.route_id not in self.by_route:
+            return  # its route has not joined the board
+        keys, rows = self.keys, self.rows
+        i = bisect.bisect_left(keys, key)
+        present = i < len(keys) and keys[i] == key
+        if fix is None or now - session.last_report_t > _TIMEOUT_S:
+            if not present:
+                return
+            route_id = rows[i].position.route_id
+            del keys[i], rows[i]
+            del self.by_route[route_id][key]
+            for stop_board in self.stops_on.get(route_id, ()):
+                stop_board.forget(key)
+            return
+        if present and rows[i].fix is fix:
+            return
+        route_id = session.route_id
+        position = _live_position(key, route_id, fix, self.projection)
+        row = PositionRow(key, position, fix)
+        if present:
+            rows[i] = row
+        else:
+            keys.insert(i, key)
+            rows.insert(i, row)
+        self.by_route[route_id][key] = row
+        for stop_board in self.stops_on.get(route_id, ()):
+            stop_board.dirty[key] = None
+
+    def stop_board(self, entry: IndexedStop) -> tuple[_StopBoard, int]:
+        """The folded board of one stop on one route, and the rows folded
+        (the route's buses, if the route joins the board now)."""
+        route_id = entry.route.route_id
+        folded = self.open([route_id])
+        predictor = self.server.predictor
+        inputs = (predictor, predictor.live, predictor.history)
+        if any(a is not b for a, b in zip(inputs, self.inputs)):
+            # Promotion, rollback or a store swap: no prediction on the
+            # board was computed from these inputs.
+            self.stops = {}
+            self.stops_on = {}
+        self.inputs = inputs
+        key = (route_id, entry.stop.stop_id)
+        stop_board = self.stops.get(key)
+        if stop_board is None:
+            stop_board = self.stops[key] = _StopBoard(
+                entry, self.by_route[route_id]
+            )
+            self.stops_on.setdefault(route_id, []).append(stop_board)
+        return stop_board, folded + stop_board.fold(self)
 
 
 class RiderAPI:
@@ -218,14 +479,7 @@ class RiderAPI:
     ) -> None:
         self.server = server
         self.projection = projection
-        # Read-path memos (see the module docstring).  Positions: session
-        # key -> (fix, record) of the last pass, and the projection they
-        # were built with.  Arrivals: route id -> (route, buses of its
-        # last pass), valid for one (predictor, live, history) triple.
-        self._positions: dict[str, tuple[TrajectoryPoint, LivePosition]] = {}
-        self._positions_projection = projection
-        self._arrivals: dict[str, tuple[BusRoute, dict[str, _BusArrivals]]] = {}
-        self._arrival_inputs: tuple[object, ...] = (None, None, None)
+        self._board: _Board | None = None
 
     @property
     def index(self):
@@ -242,19 +496,28 @@ class RiderAPI:
     def stops_of_route(self, route_id: str) -> list[BusStop]:
         return list(self.server.routes[route_id].stops)
 
-    def _route_pass(self, route: BusRoute) -> _RoutePass:
-        """Start a visit to one route's buses (see :class:`_RoutePass`)."""
-        predictor = self.server.predictor
-        inputs = (predictor, predictor.live, predictor.history)
-        if any(a is not b for a, b in zip(inputs, self._arrival_inputs)):
-            # Promotion, rollback, restore or reshard swapped a model or a
-            # store: nothing remembered was computed from these inputs.
-            self._arrivals = {}
-            self._arrival_inputs = inputs
-        owner, previous = self._arrivals.get(route.route_id, (route, {}))
-        visit = _RoutePass(self.server, route, previous if owner is route else {})
-        self._arrivals[route.route_id] = (route, visit.visited)
-        return visit
+    def _board_at(self, now: float) -> _Board:
+        """The board moved to ``now`` (rebuilt over a new route index or
+        for a new projection)."""
+        check_query(now)
+        board = self._board
+        if (
+            board is None
+            or board.index is not self.server.index
+            or board.projection is not self.projection
+        ):
+            board = self._board = _Board(self.server, self.projection)
+        _count(self.server.metrics, "query.traversals", board.advance(now))
+        return board
+
+    def _routes(self, entries: list[IndexedStop]) -> dict[str, IndexedStop]:
+        """Route id -> its entry (a duplicate stop id on one route: the
+        first wins), each route counted as a traversal."""
+        seen: dict[str, IndexedStop] = {}
+        for entry in entries:
+            seen.setdefault(entry.route.route_id, entry)
+        _count(self.server.metrics, "query.traversals", len(seen))
+        return seen
 
     # -- departures board ------------------------------------------------------
 
@@ -271,52 +534,40 @@ class RiderAPI:
         t0 = time.perf_counter()
         metrics.incr("query.departures")
         try:
-            targets = self.index.require_stop(stop_id)
-            entries: list[DepartureEntry] = []
-            seen_routes: set[str] = set()
-            for entry in targets:
-                route_id = entry.route.route_id
-                if route_id in seen_routes:
-                    continue  # duplicate stop id on one route: first wins
-                seen_routes.add(route_id)
-                metrics.incr("query.traversals")
-                entries.extend(
-                    self._departures_on_route(entry, stop_id, now, metrics)
+            check_query(now, max_entries)
+            targets = self._routes(self.index.require_stop(stop_id))
+            board = self._board_at(now)
+            heads: list[tuple[float, str, str]] = []
+            folded = 0
+            for route_id, entry in targets.items():
+                stop_board, n = board.stop_board(entry)
+                folded += n
+                heads.extend(
+                    (eta, route_id, key)
+                    for eta, key in stop_board.order[:max_entries]
                 )
-            entries.sort(key=lambda e: (e.eta_t, e.route_id, e.session_key))
-            return entries[:max_entries]
+            heads.sort()
+            out: list[DepartureEntry] = []
+            reused = 0
+            for eta, route_id, key in heads[:max_entries]:
+                entry = targets[route_id]
+                arrival = board.stops[route_id, stop_id].arrivals[key]
+                reused += arrival.made != board.queries
+                out.append(
+                    DepartureEntry(
+                        route_id=route_id,
+                        session_key=key,
+                        stop_id=stop_id,
+                        eta_t=eta,
+                        eta_in_s=eta - now,
+                        distance_away_m=entry.arc_length - arrival.fix.arc_length,
+                    )
+                )
+            _count(metrics, "query.traversals", folded)
+            _count(metrics, "predict.reused", reused)
+            return out
         finally:
             metrics.observe("query", time.perf_counter() - t0)
-
-    def _departures_on_route(
-        self, entry: IndexedStop, stop_id: str, now: float, metrics
-    ) -> list[DepartureEntry]:
-        out: list[DepartureEntry] = []
-        visit = self._route_pass(entry.route)
-        sessions = self.server.sessions_on_route(entry.route.route_id, now=now)
-        _count(metrics, "query.traversals", len(sessions))
-        for session in sessions:
-            last = session.trajectory.last
-            if last is None:
-                continue
-            bus = visit.bus(session.session_key, last)
-            if entry.arc_length <= last.arc_length:
-                continue  # already passed
-            pred = visit.predict(bus, entry)
-            if pred is None:
-                continue
-            out.append(
-                DepartureEntry(
-                    route_id=entry.route.route_id,
-                    session_key=session.session_key,
-                    stop_id=stop_id,
-                    eta_t=pred.t_arrival,
-                    eta_in_s=pred.t_arrival - now,
-                    distance_away_m=entry.arc_length - last.arc_length,
-                )
-            )
-        _count(metrics, "predict.reused", visit.reused)
-        return out
 
     # -- trip planning -----------------------------------------------------------
 
@@ -335,67 +586,49 @@ class RiderAPI:
         t0 = time.perf_counter()
         metrics.incr("query.plan_trip")
         try:
-            board_entries = self.index.require_stop(from_stop_id)
+            board_entries = self._routes(self.index.require_stop(from_stop_id))
             self.index.require_stop(to_stop_id)
+            board = self._board_at(now)
             options: list[TripOption] = []
-            seen_routes: set[str] = set()
-            for board in board_entries:
-                route_id = board.route.route_id
-                if route_id in seen_routes:
-                    continue
-                seen_routes.add(route_id)
-                metrics.incr("query.traversals")
+            folded = reused = 0
+            for route_id, entry in board_entries.items():
                 try:
                     alight = self.index.stop_on_route(route_id, to_stop_id)
                 except UnknownStopError:
                     continue  # route serves only the boarding stop
-                if alight.arc_length <= board.arc_length:
+                if alight.arc_length <= entry.arc_length:
                     continue  # wrong direction on this route
-                options.extend(
-                    self._trip_options_on_route(board, alight, now, metrics)
-                )
+                boarding, n = board.stop_board(entry)
+                alighting, m = board.stop_board(alight)
+                folded += n + m
+                for board_t, key in boarding.order:
+                    there = alighting.arrivals[key]
+                    if there.pred is None:
+                        continue
+                    here = boarding.arrivals[key]
+                    reused += (here.made != board.queries) + (there.made != board.queries)
+                    options.append(
+                        TripOption(
+                            route_id=route_id,
+                            session_key=key,
+                            board_stop_id=entry.stop.stop_id,
+                            alight_stop_id=alight.stop.stop_id,
+                            board_t=board_t,
+                            alight_t=there.pred.t_arrival,
+                        )
+                    )
             options.sort(
                 key=lambda o: (o.alight_t, o.board_t, o.route_id, o.session_key)
             )
+            _count(metrics, "query.traversals", folded)
+            _count(metrics, "predict.reused", reused)
             return options
         finally:
             metrics.observe("query", time.perf_counter() - t0)
 
-    def _trip_options_on_route(
-        self, board: IndexedStop, alight: IndexedStop, now: float, metrics
-    ) -> list[TripOption]:
-        out: list[TripOption] = []
-        route = board.route
-        visit = self._route_pass(route)
-        sessions = self.server.sessions_on_route(route.route_id, now=now)
-        _count(metrics, "query.traversals", len(sessions))
-        for session in sessions:
-            last = session.trajectory.last
-            if last is None:
-                continue
-            bus = visit.bus(session.session_key, last)
-            if board.arc_length <= last.arc_length:
-                continue
-            p_board = visit.predict(bus, board)
-            p_alight = visit.predict(bus, alight)
-            if p_board is None or p_alight is None:
-                continue
-            out.append(
-                TripOption(
-                    route_id=route.route_id,
-                    session_key=session.session_key,
-                    board_stop_id=board.stop.stop_id,
-                    alight_stop_id=alight.stop.stop_id,
-                    board_t=p_board.t_arrival,
-                    alight_t=p_alight.t_arrival,
-                )
-            )
-        _count(metrics, "predict.reused", visit.reused)
-        return out
-
     # -- live map -----------------------------------------------------------------
 
-    def live_positions(self, *, now: float) -> dict[str, LivePosition]:
+    def live_positions(self, *, now: float) -> LivePositions:
         """Current position of every active bus, as typed records.
 
         ``lat``/``lon`` are filled when the API has a projection,
@@ -405,39 +638,8 @@ class RiderAPI:
         t0 = time.perf_counter()
         metrics.incr("query.live_positions")
         try:
-            if self.projection is not self._positions_projection:
-                self._positions = {}
-                self._positions_projection = self.projection
-            previous = self._positions
-            visited: dict[str, tuple[TrajectoryPoint, LivePosition]] = {}
-            out: dict[str, LivePosition] = {}
-            sessions = self.server.active_sessions(now=now)
-            _count(metrics, "query.traversals", len(sessions))
-            for session in sessions:
-                last = session.trajectory.last
-                if last is None:
-                    continue
-                key = session.session_key
-                known = previous.get(key)
-                if known is None or known[0] is not last:
-                    known = (last, self._live_position(session, last))
-                visited[key] = known
-                out[key] = known[1]
-            self._positions = visited
-            return out
+            board = self._board_at(now)
+            _count(metrics, "query.traversals", board.open(self.server.routes))
+            return LivePositions(list(board.rows))
         finally:
             metrics.observe("query", time.perf_counter() - t0)
-
-    def _live_position(self, session, last: TrajectoryPoint) -> LivePosition:
-        lat = lon = None
-        if self.projection is not None:
-            lat, lon, _ = last.as_geo(self.projection)
-        return LivePosition(
-            session_key=session.session_key,
-            route_id=session.route_id,
-            x=last.point.x,
-            y=last.point.y,
-            lat=lat,
-            lon=lon,
-            t=last.t,
-        )

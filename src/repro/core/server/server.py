@@ -424,21 +424,6 @@ class WiLocatorServer:
             for key in self.index.active_session_keys(now, timeout_s=timeout_s)
         ]
 
-    def sessions_on_route(
-        self, route_id: str, *, now: float, timeout_s: float = 300.0
-    ) -> list[BusSession]:
-        """Active sessions of one route, in session-creation order.
-
-        Served from the index's per-route active set: cost follows the
-        route's active buses, not every session ever opened on it.
-        """
-        return [
-            self.sessions[key]
-            for key in self.index.active_session_keys(
-                now, timeout_s=timeout_s, route_id=route_id
-            )
-        ]
-
     def timed_predict_arrival(
         self, route: BusRoute, current_arc: float, t: float, stop
     ) -> ArrivalPrediction | None:

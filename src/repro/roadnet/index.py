@@ -16,7 +16,12 @@ precomputed layers:
   boundary instead of rescanning the whole session table;
 * a **per-route active set** beside the global one, so
   ``active_session_keys(now, route_id=...)`` lists one route's active
-  buses without visiting every session ever opened on it.
+  buses without visiting every session ever opened on it;
+* a **change feed** — every report (and drop) moves its session to the
+  end of a recency-ordered dict, so a reader that remembers a
+  :meth:`change_mark` lists the sessions changed since in time
+  proportional to their number (:meth:`changed_since`).  This is the
+  dirty mark the rider board folds (:mod:`repro.core.server.api`).
 
 Sessions evicted by the heap are parked in a time-sorted ``expired`` list;
 queries with a *larger* timeout (or an earlier ``now``) resurrect them, so
@@ -96,6 +101,10 @@ class _SessionLayer:
     expired: list[tuple[float, str]] = field(default_factory=list)
     expired_keys: set[str] = field(default_factory=set)
     next_seq: int = 0
+    #: session key -> change number of its last report or drop, oldest
+    #: change first (a key moves to the end when it changes again).
+    changed: dict[str, int] = field(default_factory=dict)
+    changes: int = 0
 
 
 class RouteIndex:
@@ -199,6 +208,7 @@ class RouteIndex:
         s.active[session_key] = None
         s.active_by_route.setdefault(route_id, {})[session_key] = None
         heapq.heappush(s.heap, (t, session_key))
+        self._mark_changed(session_key)
         self.stats.heap_pushes += 1
         self.stats.reports_noted += 1
 
@@ -214,7 +224,29 @@ class RouteIndex:
         s.seq.pop(session_key, None)
         s.active.pop(session_key, None)
         s.active_by_route.get(route_id, {}).pop(session_key, None)
+        self._mark_changed(session_key)
         self.stats.sessions_dropped += 1
+
+    def _mark_changed(self, session_key: str) -> None:
+        s = self._s
+        s.changes += 1
+        s.changed.pop(session_key, None)
+        s.changed[session_key] = s.changes
+
+    def change_mark(self) -> int:
+        """The current position of the change feed."""
+        return self._s.changes
+
+    def changed_since(self, mark: int) -> list[str]:
+        """Sessions reported or dropped after ``mark`` (a
+        :meth:`change_mark` value), newest first; cost follows their
+        number, not the number of sessions."""
+        out = []
+        for key, n in reversed(self._s.changed.items()):
+            if n <= mark:
+                break
+            out.append(key)
+        return out
 
     def _unpark(self, session_key: str) -> None:
         """Remove a session from the expired parking list."""
@@ -248,6 +280,30 @@ class RouteIndex:
         total ever opened.
         """
         s = self._s
+        self.evict(now, timeout_s=timeout_s)
+        # Every remaining active session has its last report on the heap
+        # inside the window (or no report at all), so none needs a check.
+        if route_id is None:
+            out = list(s.active)
+        else:
+            out = list(s.active_by_route.get(route_id, ()))
+        # A larger timeout (or an out-of-order `now`) can reach back past
+        # earlier evictions; only the matching suffix is scanned.
+        for key in self.expired_between(now, float("inf"), timeout_s=timeout_s):
+            if route_id is None or s.route_of[key] == route_id:
+                out.append(key)
+                self.stats.sessions_resurrected += 1
+        out.sort(key=s.seq.__getitem__)
+        return out
+
+    def evict(self, now: float, *, timeout_s: float = 300.0) -> None:
+        """Park every session inactive at ``now`` in the expired list.
+
+        Afterwards each session with a report that is inactive at any
+        ``now' <= now`` sits in the expired list; cost follows the
+        sessions crossing the boundary since the last eviction.
+        """
+        s = self._s
         # Float subtraction is monotone, so the stale entries are exactly
         # a prefix of the heap order: popping stops at the first active one.
         while s.heap and now - s.heap[0][0] > timeout_s:
@@ -261,27 +317,29 @@ class RouteIndex:
                 self.stats.sessions_evicted += 1
             # Otherwise the entry is stale (a fresher report re-pushed the
             # key, or the session was dropped): discard silently.
-        # Every remaining active session has its last report on the heap
-        # inside the window (or no report at all), so none needs a check.
-        if route_id is None:
-            out = list(s.active)
-        else:
-            out = list(s.active_by_route.get(route_id, ()))
-        if s.expired:
-            # A larger timeout (or an out-of-order `now`) can reach back
-            # past earlier evictions; only the matching suffix is scanned.
-            i = bisect.bisect_left(
-                s.expired, True, key=lambda e: now - e[0] <= timeout_s
-            )
-            for t, key in s.expired[i:]:
-                if key not in s.expired_keys or s.last_seen.get(key) != t:
-                    continue
-                if route_id is not None and s.route_of[key] != route_id:
-                    continue
-                out.append(key)
-                self.stats.sessions_resurrected += 1
-        out.sort(key=s.seq.__getitem__)
-        return out
+
+    def expired_between(
+        self, early: float, late: float, *, timeout_s: float = 300.0
+    ) -> list[str]:
+        """Parked sessions active at ``early`` but not at ``late``.
+
+        Sessions expire in last-report order, so they are one slice of
+        the time-sorted expired list, found by two bisections with the
+        session predicate.  Only sessions :meth:`evict` has parked are
+        listed: evict at ``late`` or later first for the complete set.
+        """
+        s = self._s
+        lo = bisect.bisect_left(
+            s.expired, True, key=lambda e: early - e[0] <= timeout_s
+        )
+        hi = bisect.bisect_left(
+            s.expired, True, key=lambda e: late - e[0] <= timeout_s
+        )
+        return [
+            key
+            for t, key in s.expired[lo:hi]
+            if key in s.expired_keys and s.last_seen.get(key) == t
+        ]
 
     def snapshot(self) -> dict[str, int]:
         """Maintenance counters plus current table sizes."""

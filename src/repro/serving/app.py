@@ -53,11 +53,17 @@ keyword-only-clock rule as the in-process API.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol
 
-from repro.core.server.api import LivePosition, RiderAPI, UnknownStopError
+from repro.core.server.api import (
+    LivePositions,
+    PositionRow,
+    RiderAPI,
+    UnknownStopError,
+)
 from repro.core.server.backend import ServingBackend
 from repro.core.server.metrics import ServerMetrics
 from repro.fusion.adapters import normalize_payload
@@ -135,19 +141,40 @@ _REJECTION_COUNTERS: tuple[str, ...] = (
 )
 
 
-def _require_float(query: Mapping[str, str], key: str) -> float:
-    try:
-        return float(query[key])
-    except KeyError:
+def _require_float(
+    query: Mapping[str, str], key: str, default: str | None = None
+) -> float:
+    """A finite number (``nan`` and ``inf`` are not clocks or windows)."""
+    raw = query.get(key, default)
+    if raw is None:
         raise WireError(
             WireErrorCode.BAD_REQUEST, f"missing query parameter {key!r}"
-        ) from None
+        )
+    try:
+        value = float(raw)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise WireError(
             WireErrorCode.BAD_REQUEST,
-            f"query parameter {key!r} must be a number, got "
-            f"{query[key]!r}",
-        ) from None
+            f"query parameter {key!r} must be a finite number, got {raw!r}",
+        )
+    return value
+
+
+def _require_count(query: Mapping[str, str], key: str, default: str) -> int:
+    """An integer >= 0."""
+    raw = query.get(key, default)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise WireError(
+            WireErrorCode.BAD_REQUEST,
+            f"query parameter {key!r} must be an integer >= 0, got {raw!r}",
+        )
+    return value
 
 
 def _require_str(query: Mapping[str, str], key: str) -> str:
@@ -157,6 +184,12 @@ def _require_str(query: Mapping[str, str], key: str) -> str:
             WireErrorCode.BAD_REQUEST, f"missing query parameter {key!r}"
         )
     return value
+
+
+def _encode_row(row: PositionRow) -> str:
+    """Fill a row's empty wire slot with its ``"key":{...}`` member."""
+    row.wire = canonical_json(row.key) + ":" + canonical_json(to_wire(row.position))
+    return row.wire
 
 
 class ServingApp:
@@ -174,10 +207,6 @@ class ServingApp:
         self.backend = backend
         self.queries = queries
         self.lifecycle = lifecycle
-        # ``/v1/positions`` rows of the last call: session key -> (the
-        # LivePosition, its encoded ``"key":{...}`` member).  A row is
-        # reused while the query surface returns the same record object.
-        self._position_rows: dict[str, tuple[LivePosition, str]] = {}
         self.metrics = metrics if metrics is not None else ServerMetrics()
         overrides = dict(slos or {})
         self.endpoints: dict[str, dict[str, Endpoint]] = {}
@@ -414,7 +443,7 @@ class ServingApp:
     def _h_departures(self, request: Request) -> Response:
         stop = _require_str(request.query, "stop")
         now = _require_float(request.query, "now")
-        limit = int(request.query.get("limit", "10"))
+        limit = _require_count(request.query, "limit", "10")
         entries = self.queries.departures(stop, now=now, max_entries=limit)
         return Response(
             200, {"departures": [to_wire(e) for e in entries]}
@@ -429,18 +458,11 @@ class ServingApp:
 
     def _h_positions(self, request: Request) -> Response:
         now = _require_float(request.query, "now")
-        positions = self.queries.live_positions(now=now)
-        previous = self._position_rows
-        rows: dict[str, tuple[LivePosition, str]] = {}
-        for key in sorted(positions):
-            position = positions[key]
-            row = previous.get(key)
-            if row is None or row[0] is not position:
-                member = canonical_json(key) + ":" + canonical_json(to_wire(position))
-                row = (position, member)
-            rows[key] = row
-        self._position_rows = rows
-        body = '{"positions":{' + ",".join(r[1] for r in rows.values()) + "}}"
+        rows = LivePositions.of(self.queries.live_positions(now=now)).rows
+        # Each row's ``"key":{...}`` member is encoded once, into the
+        # row's wire slot; the board keeps a row until its bus moves.
+        members = [row.wire or _encode_row(row) for row in rows]
+        body = '{"positions":{' + ",".join(members) + "}}"
         return Response(200, encoded=body.encode("utf-8"))
 
     def _h_position(self, request: Request) -> Response:
@@ -477,7 +499,7 @@ class ServingApp:
 
     def _h_sessions(self, request: Request) -> Response:
         now = _require_float(request.query, "now")
-        timeout = float(request.query.get("timeout", "300"))
+        timeout = _require_float(request.query, "timeout", "300")
         sessions = self.backend.active_sessions(now=now, timeout_s=timeout)
         return Response(
             200,

@@ -1,7 +1,7 @@
 """Indexed queries must return exactly what the seed's linear scans did.
 
 The pre-index implementations are preserved verbatim in
-:mod:`repro.core.server.reference`; this module replays a simulated
+:mod:`tests.reference`; this module replays a simulated
 scenario (same shape as ``test_rider_api``) and asserts the indexed
 ``RiderAPI`` / ``WiLocatorServer`` paths are result-identical.
 """
@@ -9,7 +9,7 @@ scenario (same shape as ``test_rider_api``) and asserts the indexed
 import pytest
 
 from repro.core.server import RiderAPI, WiLocatorServer, history_from_ground_truth
-from repro.core.server.reference import (
+from tests.reference import (
     TraversalCounter,
     linear_active_sessions,
     linear_departures,

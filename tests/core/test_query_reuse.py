@@ -6,7 +6,7 @@ city, whose route pairs share every segment (so a traversal by one route
 changes the other route's Eq. 8 predictions), through interleaved
 ingests, queries, checkpoint rewinds and lifecycle promote/rollback, and
 after every step compares the reused answers with the linear oracles of
-:mod:`repro.core.server.reference` and with a fresh, never-reused
+:mod:`tests.reference` and with a fresh, never-reused
 ``RiderAPI`` — result for result.
 """
 
@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.arrival.history import TravelTimeRecord, TravelTimeStore
 from repro.core.server import RiderAPI
-from repro.core.server.reference import (
+from tests.reference import (
     linear_departures,
     linear_live_positions,
     linear_plan_trip,

@@ -183,12 +183,12 @@ class TestQueries:
         server = make_server(scene)
         server.ingest_many(scene["reports"])
         end = scene["trip"].end_s
-        sessions = server.sessions_on_route("r1", now=end + 60.0)
-        assert [s.session_key for s in sessions] == [
+        index = server.index
+        assert index.active_session_keys(end + 60.0, route_id="r1") == [
             scene["reports"][0].session_key
         ]
-        assert server.sessions_on_route("r1", now=end + 3600.0) == []
-        assert server.sessions_on_route("nope", now=end) == []
+        assert index.active_session_keys(end + 3600.0, route_id="r1") == []
+        assert index.active_session_keys(end, route_id="nope") == []
 
 
 class TestMetricsApi:

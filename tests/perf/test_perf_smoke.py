@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.server.reference import (
+from tests.reference import (
     TraversalCounter,
     linear_departures,
     linear_live_positions,

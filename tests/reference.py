@@ -16,7 +16,7 @@ They exist for two reasons:
   :class:`TraversalCounter`, and the indexed path counts the same units
   in the ``query.traversals`` server metric.
 
-Never call these from production paths.
+They live under ``tests/`` because no production path may call them.
 """
 
 from __future__ import annotations

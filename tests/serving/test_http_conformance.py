@@ -29,6 +29,21 @@ def _scan_body(reports) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
+#: label -> request path whose query parameter (the label's prefix) is
+#: malformed; ``{now}`` is a valid clock.
+_BAD_PARAMETERS: dict[str, str] = {
+    "limit_not_a_number": "/v1/departures?stop=HUB&now={now}&limit=abc",
+    "limit_negative": "/v1/departures?stop=HUB&now={now}&limit=-1",
+    "limit_fraction": "/v1/departures?stop=HUB&now={now}&limit=1.5",
+    "now_nan": "/v1/departures?stop=HUB&now=nan&limit=10",
+    "now_infinite": "/v1/positions?now=inf",
+    "now_negative_infinite": "/v1/trip-plan?from=HUB&to=HUB&now=-inf",
+    "now_not_a_number": "/v1/traffic-map?now=soon",
+    "timeout_not_a_number": "/v1/sessions?now={now}&timeout=x",
+    "timeout_nan": "/v1/sessions?now={now}&timeout=nan",
+}
+
+
 def _conformance_requests(city) -> list[tuple[str, bytes]]:
     """The ordered (label, raw bytes) stream every backend must answer."""
     ingest = _scan_body(city.reports)
@@ -39,6 +54,10 @@ def _conformance_requests(city) -> list[tuple[str, bytes]]:
     # there and ridden one stop onward, so hub -> next stop has options.
     ride_to = city.stop_id_on(city.hub_route_ids[0], 4)
     now = city.now
+    bad = {
+        label: path.replace("HUB", city.hub_stop_id).format(now=now)
+        for label, path in _BAD_PARAMETERS.items()
+    }
     return [
         ("ingest", http_request("POST", "/v1/scans", ingest)),
         (
@@ -94,6 +113,19 @@ def _conformance_requests(city) -> list[tuple[str, bytes]]:
         (
             "missing_now",
             http_request("GET", f"/v1/departures?stop={city.hub_stop_id}"),
+        ),
+        # Query parameters: a clock and a window are finite numbers, a
+        # limit an integer >= 0; anything else is the caller's 422.
+        *[
+            (label, http_request("GET", path))
+            for label, path in bad.items()
+        ],
+        (
+            "zero_limit",
+            http_request(
+                "GET",
+                f"/v1/departures?stop={city.hub_stop_id}&now={now}&limit=0",
+            ),
         ),
         # Re-posting the whole stream: admission control's duplicate
         # suppression rejects every report -> the 422 "rejected" path.
@@ -160,6 +192,16 @@ class TestByteIdenticalResponses:
             got_status, body = parse_response(answers[label]["plain"])
             assert got_status == status, label
             assert body["error"]["code"] == code, label
+
+    def test_malformed_query_parameters_are_named_422s(self, answers):
+        for label in _BAD_PARAMETERS:
+            status, body = parse_response(answers[label]["plain"])
+            assert status == 422, label
+            assert body["error"]["code"] == "bad_request", label
+            parameter = label.split("_", 1)[0]
+            assert f"query parameter {parameter!r}" in body["error"]["message"], label
+        status, body = parse_response(answers["zero_limit"]["plain"])
+        assert (status, body) == (200, {"departures": []})
 
     def test_never_a_bare_500(self, answers):
         for label, by_backend in answers.items():
