@@ -36,6 +36,10 @@ AP-outage drill (:mod:`repro.eval.outage`) and writes
     python -m repro.cli elastic --out BENCH_elastic.json
     python -m repro.cli fusion  --out BENCH_fusion.json
 
+Every ``BENCH_*.json`` writer defaults ``--out`` to the committed file,
+except that a ``--quick`` run writes only to an explicit ``--out``: a
+smaller drill must never overwrite the committed artifact.
+
 ``checkpoint`` ingests the city durably (WAL + micro-batches + periodic
 checkpoints), ``wal-stat`` prints the log's segment table, ``replay``
 rebuilds a virgin server from the durable state and proves the recovered
@@ -45,17 +49,14 @@ directory — and prints the resulting ``health()`` report (admission
 reason codes, breaker state, WAL damage accounting); it never touches
 ``--data-dir``.
 
-Serving subcommands expose the HTTP front door (:mod:`repro.serving`)
-over the same synthetic city:
+``serve`` exposes the HTTP front door (:mod:`repro.serving`) over the
+same synthetic city:
 
-    python -m repro.cli serve   --backend cluster --port 8080
-    python -m repro.cli loadgen --out BENCH_serving.json
+    python -m repro.cli serve --backend cluster --port 8080
 
-``serve`` replays the city into the chosen backend (``plain`` /
-``durable`` / ``cluster``) and blocks serving JSON over HTTP;
-``loadgen`` fires the deterministic rising-QPS open-loop schedule at
-both the durable and 4-shard deployments and writes the per-endpoint
-latency artifact.
+It replays the city into the chosen backend (``plain`` / ``durable`` /
+``cluster``) and blocks serving JSON over HTTP.  The end-to-end serving
+benchmark is ``python perfbench/run.py``, not a subcommand.
 
 The model lifecycle (:mod:`repro.lifecycle`) is driven by one
 subcommand with ``--action`` (registry state persists under
@@ -72,7 +73,7 @@ detection -> gated promotion -> byte-identical rollback) and writes the
 committed ``BENCH_lifecycle.json`` artifact.
 
 ``analyze`` runs the AST-based invariant checker (:mod:`repro.analysis`,
-rules WL001–WL005) over the given paths and exits non-zero on any
+rules WL001–WL010) over the given paths and exits non-zero on any
 non-baselined finding:
 
     python -m repro.cli analyze src
@@ -514,6 +515,34 @@ def _cluster_health_snapshot(quick: bool) -> dict:
     return router.health()
 
 
+def _write_artifact(args, artifact: dict, default_out: str, summary: list[str]) -> None:
+    """Write a ``BENCH_*.json`` artifact in its committed form and report it.
+
+    Sorted keys, two-space indent, trailing newline — the bytes CI's
+    ``cmp`` compares.  ``--out`` defaults to the committed file, but an
+    artifact whose config records a ``--quick`` run is written only to an
+    explicit ``--out``.  ``--json`` echoes the artifact instead of the
+    human-readable ``summary`` lines.
+    """
+    import json
+
+    text = json.dumps(artifact, indent=2, sort_keys=True) + "\n"
+    quick = artifact["config"].get("quick", False)
+    out = args.out or (None if quick else default_out)
+    if out is not None:
+        with open(out, "w") as fh:
+            fh.write(text)
+    if getattr(args, "json", False):
+        print(text, end="")
+    else:
+        for line in summary:
+            print(f"  {line}")
+    if out is None:
+        print(f"  not written: a --quick run writes {default_out} only via --out")
+    else:
+        print(f"  wrote {out}")
+
+
 def run_elastic_cmd(args) -> None:
     """The elastic-reshard chaos drill, then ``BENCH_elastic.json``.
 
@@ -524,24 +553,16 @@ def run_elastic_cmd(args) -> None:
     parity with a never-resharded twin.  The artifact written to
     ``--out`` is the committed benchmark the tier-1 shape gate checks.
     """
-    import json
     import tempfile
 
     from repro.elastic.drill import bench_artifact, run_elastic_drill
 
     with tempfile.TemporaryDirectory() as tmp:
         result = run_elastic_drill(tmp)
-    artifact = bench_artifact(result)
-    out = args.out or "BENCH_elastic.json"
-    with open(out, "w") as fh:
-        json.dump(artifact, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if getattr(args, "json", False):
-        print(json.dumps(artifact, indent=2, sort_keys=True))
-    else:
-        for line in result.summary().splitlines():
-            print(f"  {line}")
-    print(f"  wrote {out}")
+    _write_artifact(
+        args, bench_artifact(result), "BENCH_elastic.json",
+        result.summary().splitlines(),
+    )
 
 
 def run_fusion_cmd(args) -> None:
@@ -555,37 +576,22 @@ def run_fusion_cmd(args) -> None:
     shape gate checks; the drill is seeded and fully deterministic, so
     the file is byte-reproducible.
     """
-    import json
-
     from repro.eval.outage import bench_artifact, run_outage_drill
 
-    result = run_outage_drill(quick=args.quick)
-    artifact = bench_artifact(result)
-    out = args.out or "BENCH_fusion.json"
-    with open(out, "w") as fh:
-        json.dump(artifact, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if getattr(args, "json", False):
-        print(json.dumps(artifact, indent=2, sort_keys=True))
-    else:
-        drill = artifact["drill"]
-        print(
-            f"  healthy: fused {drill['healthy']['fused_mae_m']:.1f} m vs "
-            f"wifi-only {drill['healthy']['wifi_only_mae_m']:.1f} m over "
-            f"{drill['healthy']['ticks']} ticks (identical by design)"
-        )
-        print(
-            f"  outage:  fused {drill['outage']['fused_mae_m']:.1f} m vs "
-            f"wifi-only {drill['outage']['wifi_only_mae_m']:.1f} m over "
-            f"{drill['outage']['ticks']} ticks"
-        )
-        cal = drill["gps_calibration"]
-        print(
-            f"  learned GPS calibration: clock skew {cal['clock_skew_s']:.2f} s "
-            f"(injected {artifact['config']['gps_skew_s']} s), "
-            f"noise {cal['noise_m']:.1f} m over {cal['samples']} co-observations"
-        )
-    print(f"  wrote {out}")
+    artifact = bench_artifact(run_outage_drill(quick=args.quick))
+    drill = artifact["drill"]
+    cal = drill["gps_calibration"]
+    _write_artifact(args, artifact, "BENCH_fusion.json", [
+        f"healthy: fused {drill['healthy']['fused_mae_m']:.1f} m vs "
+        f"wifi-only {drill['healthy']['wifi_only_mae_m']:.1f} m over "
+        f"{drill['healthy']['ticks']} ticks (identical by design)",
+        f"outage:  fused {drill['outage']['fused_mae_m']:.1f} m vs "
+        f"wifi-only {drill['outage']['wifi_only_mae_m']:.1f} m over "
+        f"{drill['outage']['ticks']} ticks",
+        f"learned GPS calibration: clock skew {cal['clock_skew_s']:.2f} s "
+        f"(injected {artifact['config']['gps_skew_s']} s), "
+        f"noise {cal['noise_m']:.1f} m over {cal['samples']} co-observations",
+    ])
 
 
 def run_serve_cmd(args) -> None:
@@ -634,39 +640,6 @@ def run_serve_cmd(args) -> None:
             backend.close()
 
 
-def run_loadgen_cmd(args) -> None:
-    """Run the open-loop serving benchmark and write ``BENCH_serving.json``.
-
-    Fires the deterministic rising-QPS schedule at both the durable
-    single node and the 4-shard cluster (each behind the real asyncio
-    front door on an ephemeral port) and writes per-endpoint
-    p50/p95/p99 per stage to ``--out``.
-    """
-    from repro.serving.experiment import run_serving_benchmark
-
-    out = args.out or "BENCH_serving.json"
-    artifact = run_serving_benchmark(out, quick=args.quick)
-    if getattr(args, "json", False):
-        import json
-
-        print(json.dumps(artifact, indent=2, sort_keys=True))
-        return
-    for backend_name, backend in artifact["backends"].items():
-        print(f"  {backend_name}:")
-        for stage in backend["stages"]:
-            worst = max(
-                (ep["p99_ms"] for ep in stage["endpoints"].values()),
-                default=0.0,
-            )
-            print(
-                f"    {stage['offered_qps']:6.0f} qps offered -> "
-                f"{stage['achieved_qps']:6.1f} achieved, "
-                f"errors={stage['errors']}, worst p99={worst:.2f} ms"
-                f"{'  [SATURATED]' if stage['saturated'] else ''}"
-            )
-    print(f"  wrote {out}")
-
-
 def run_lifecycle_cmd(args) -> None:
     """Model-lifecycle operations against the registry at ``--registry-dir``.
 
@@ -699,33 +672,20 @@ def run_lifecycle_cmd(args) -> None:
         from repro.eval.regime import bench_artifact, run_regime_change
 
         with tempfile.TemporaryDirectory() as tmp:
-            result = run_regime_change(tmp, quick=args.quick)
-        artifact = bench_artifact(result)
-        out = args.out or "BENCH_lifecycle.json"
-        with open(out, "w") as fh:
-            json.dump(artifact, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        if getattr(args, "json", False):
-            print(json.dumps(artifact, indent=2, sort_keys=True))
-        else:
-            drill = artifact["drill"]
-            print(
-                f"  pre-shift MAE {drill['pre_shift_mae_s']:.1f} s -> "
-                f"frozen {drill['post_shift_frozen_mae_s']:.1f} s -> "
-                f"promoted {drill['post_promotion_mae_s']:.1f} s"
-            )
-            print(
-                f"  shadow: candidate {drill['shadow']['candidate_mae_s']:.1f} s "
-                f"vs serving {drill['shadow']['serving_mae_s']:.1f} s over "
-                f"{drill['shadow']['samples']} samples; "
-                f"{drill['drift_alarms']} drift alarms"
-            )
-            print(
-                f"  {drill['bootstrap_version']} -> {drill['promoted_version']} "
-                f"promoted; rollback byte-identical: "
-                f"{drill['rollback_byte_identical']}"
-            )
-        print(f"  wrote {out}")
+            artifact = bench_artifact(run_regime_change(tmp, quick=args.quick))
+        drill = artifact["drill"]
+        _write_artifact(args, artifact, "BENCH_lifecycle.json", [
+            f"pre-shift MAE {drill['pre_shift_mae_s']:.1f} s -> "
+            f"frozen {drill['post_shift_frozen_mae_s']:.1f} s -> "
+            f"promoted {drill['post_promotion_mae_s']:.1f} s",
+            f"shadow: candidate {drill['shadow']['candidate_mae_s']:.1f} s "
+            f"vs serving {drill['shadow']['serving_mae_s']:.1f} s over "
+            f"{drill['shadow']['samples']} samples; "
+            f"{drill['drift_alarms']} drift alarms",
+            f"{drill['bootstrap_version']} -> {drill['promoted_version']} "
+            f"promoted; rollback byte-identical: "
+            f"{drill['rollback_byte_identical']}",
+        ])
         return
 
     city = _durable_city(args.quick)
@@ -798,10 +758,6 @@ SERVING_CMDS = {
     "serve": (
         "HTTP front door over a warm synthetic-city backend",
         run_serve_cmd,
-    ),
-    "loadgen": (
-        "Open-loop serving benchmark -> BENCH_serving.json",
-        run_loadgen_cmd,
     ),
     "lifecycle": (
         "Model lifecycle: status/retrain/promote/rollback/bench",
@@ -888,7 +844,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--json",
         action="store_true",
-        help="machine-readable output (metrics, health, cluster, loadgen)",
+        help="machine-readable output (metrics, health, cluster, elastic, fusion, lifecycle bench)",
     )
     parser.add_argument(
         "--host", default="127.0.0.1", help="bind address for 'serve'"
@@ -906,9 +862,10 @@ def main(argv: list[str] | None = None) -> int:
         "--out",
         default=None,
         help=(
-            "output artifact path (loadgen -> BENCH_serving.json, "
-            "lifecycle bench -> BENCH_lifecycle.json, "
-            "elastic -> BENCH_elastic.json)"
+            "output artifact path (elastic -> BENCH_elastic.json, "
+            "fusion -> BENCH_fusion.json, "
+            "lifecycle bench -> BENCH_lifecycle.json; "
+            "a --quick run writes only to an explicit --out)"
         ),
     )
     parser.add_argument(

@@ -23,9 +23,10 @@ by the ``metrics`` CLI subcommand (``python -m repro.cli metrics``).
 from __future__ import annotations
 
 import bisect
+import math
 import time
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, Sequence
 
 # Geometric bucket upper bounds in seconds, 10 us .. 5 s.  Anything slower
 # lands in the +Inf overflow bucket.
@@ -93,6 +94,21 @@ class LatencyHistogram:
             "min_s": self.min_s if self.count else 0.0,
             "max_s": self.max_s,
         }
+
+
+def nearest_rank(sorted_values: Sequence[float], p: float) -> float:
+    """Exact nearest-rank percentile ``p`` in (0, 100]; 0.0 when empty.
+
+    The one percentile rule for exact samples: the shadow scorecards and
+    the benchmark's request latencies both read it, while
+    :meth:`LatencyHistogram.quantile` stays the cheap bucketed estimate.
+    """
+    if not sorted_values:
+        return 0.0
+    if not 0 < p <= 100:
+        raise ValueError("percentile must be in (0, 100]")
+    rank = max(1, math.ceil(p / 100.0 * len(sorted_values)))
+    return sorted_values[rank - 1]
 
 
 class CacheStats:

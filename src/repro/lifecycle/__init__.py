@@ -37,7 +37,6 @@ from repro.lifecycle.shadow import (
     ModelScore,
     ShadowEvaluator,
     ShadowSample,
-    nearest_rank,
 )
 
 __all__ = [
@@ -61,5 +60,4 @@ __all__ = [
     "ModelScore",
     "ShadowEvaluator",
     "ShadowSample",
-    "nearest_rank",
 ]

@@ -21,24 +21,14 @@ Promotion is the only door (:mod:`repro.lifecycle.manager`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
 from repro.core.arrival.history import TravelTimeRecord
 from repro.core.arrival.predictor import ArrivalTimePredictor
+from repro.core.server.metrics import nearest_rank
 
-__all__ = ["ModelScore", "ShadowSample", "ShadowEvaluator", "nearest_rank"]
-
-
-def nearest_rank(sorted_values: list[float], p: float) -> float:
-    """Nearest-rank percentile (the loadgen convention); 0.0 when empty."""
-    if not sorted_values:
-        return 0.0
-    if not 0 < p <= 100:
-        raise ValueError("p must be in (0, 100]")
-    rank = max(1, math.ceil(p / 100.0 * len(sorted_values)))
-    return sorted_values[rank - 1]
+__all__ = ["ModelScore", "ShadowSample", "ShadowEvaluator"]
 
 
 @dataclass

@@ -10,11 +10,10 @@
 * :mod:`repro.serving.http` — hand-rolled HTTP/1.1 over asyncio;
 * :mod:`repro.serving.wire` — the one ``to_wire``/``from_wire`` codec;
 * :mod:`repro.serving.errors` — the closed wire-error taxonomy;
-* :mod:`repro.serving.loadgen` — deterministic open-loop load generator;
-* :mod:`repro.serving.experiment` — the BENCH_serving.json runner.
+* :mod:`repro.serving.loadgen` — the latency percentile the end-to-end
+  benchmark (``perfbench/run.py``) reports.
 
-Start one from the CLI: ``python -m repro.cli serve`` /
-``python -m repro.cli loadgen``.
+Start one from the CLI: ``python -m repro.cli serve``.
 """
 
 from repro.serving.app import ENDPOINTS, Endpoint, ServingApp, make_app

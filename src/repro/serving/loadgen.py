@@ -1,378 +1,22 @@
-"""Deterministic open-loop load generation for the serving front door.
+"""Request-latency percentiles for the end-to-end serving benchmark.
 
-Open loop means arrivals follow a fixed schedule, not the server's pace:
-request *i* of a stage is due at ``stage_start + i / qps``, and its
-latency is measured **from the scheduled due time** — so queueing delay
-under overload is part of the number, which is what makes rising-QPS
-stages detect saturation instead of politely slowing down with the
-server (the coordinated-omission trap).
-
-Everything is deterministic given the seed: the request mix, the scan
-batches (cloned from a :class:`~repro.eval.synth_city.SynthCity` into
-unique per-request session namespaces so admission control's duplicate
-suppression never fires) and the arrival offsets are all fixed at
-schedule-build time, before a single byte hits a socket.  Two runs
-against equally warm servers issue byte-identical request streams.
-
-Saturation: a stage is marked saturated when the achieved completion
-rate falls below ``saturation_fraction`` of the offered rate, or the
-stage-wide p99 exceeds ``saturation_p99_ms``.
+The benchmark (``perfbench/run.py``) measures its open-loop request
+latencies in seconds and reports ``p50_ms``/``p95_ms`` through
+:func:`percentile_ms`, imported from this module path.  The module
+outlived the open-loop ramp it was written for so that import keeps
+working; the percentile rule itself is
+:func:`repro.core.server.metrics.nearest_rank`.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
-import math
-import random
-from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from repro.eval.synth_city import SynthCity
-from repro.pipeline.wal import report_to_dict
+from repro.core.server.metrics import nearest_rank
 
-__all__ = [
-    "StageConfig",
-    "ScheduledRequest",
-    "EndpointStats",
-    "StageResult",
-    "Workload",
-    "build_workload",
-    "build_schedule",
-    "percentile_ms",
-    "run_schedule",
-]
-
-
-@dataclass(frozen=True, slots=True)
-class StageConfig:
-    """One constant-rate stage of an open-loop run."""
-
-    qps: float
-    duration_s: float
-
-    def __post_init__(self) -> None:
-        if self.qps <= 0 or self.duration_s <= 0:
-            raise ValueError("stage qps and duration must be positive")
-
-    @property
-    def request_count(self) -> int:
-        return max(1, int(self.qps * self.duration_s))
-
-
-@dataclass(frozen=True, slots=True)
-class ScheduledRequest:
-    """One pre-built request: when it is due and the exact bytes to send."""
-
-    stage: int
-    offset_s: float
-    endpoint: str
-    raw: bytes
-
-
-@dataclass(frozen=True, slots=True)
-class EndpointStats:
-    """Latency summary for one endpoint within one stage."""
-
-    count: int
-    errors: int
-    p50_ms: float
-    p95_ms: float
-    p99_ms: float
-    max_ms: float
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "errors": self.errors,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
-            "max_ms": self.max_ms,
-        }
-
-
-@dataclass
-class StageResult:
-    """Everything measured about one stage."""
-
-    offered_qps: float
-    duration_s: float
-    scheduled: int
-    completed: int
-    errors: int
-    achieved_qps: float
-    saturated: bool
-    endpoints: dict[str, EndpointStats] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "offered_qps": self.offered_qps,
-            "duration_s": self.duration_s,
-            "scheduled": self.scheduled,
-            "completed": self.completed,
-            "errors": self.errors,
-            "achieved_qps": self.achieved_qps,
-            "saturated": self.saturated,
-            "endpoints": {
-                name: stats.as_dict()
-                for name, stats in sorted(self.endpoints.items())
-            },
-        }
-
-
-# -- workload ----------------------------------------------------------------
-
-# (endpoint, weight) — the rider/driver mix one bus line's traffic shows:
-# driver scans dominate, departure boards are the hot query.
-_MIX: tuple[tuple[str, float], ...] = (
-    ("scans", 0.40),
-    ("departures", 0.30),
-    ("positions", 0.15),
-    ("trip_plan", 0.15),
-)
-
-
-@dataclass
-class Workload:
-    """A deterministic request factory over one synthetic city."""
-
-    city: SynthCity
-    seed: int
-    _rng: random.Random = field(init=False)
-    _sessions: list[list] = field(init=False)
-    _clone_counter: int = field(init=False, default=0)
-
-    def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
-        by_session: dict[str, list] = {}
-        for report in self.city.reports:
-            by_session.setdefault(report.session_key, []).append(report)
-        self._sessions = [by_session[k] for k in sorted(by_session)]
-
-    def _request(self, method: str, path: str, body: bytes = b"") -> bytes:
-        head = f"{method} {path} HTTP/1.1\r\n"
-        if body:
-            head += f"Content-Length: {len(body)}\r\n"
-        head += "\r\n"
-        return head.encode("latin-1") + body
-
-    def _scan_body(self) -> bytes:
-        """One session's reports, cloned into a fresh session namespace.
-
-        Unique session/device ids per request keep the admission guard's
-        duplicate suppression out of the measurement and make requests
-        order-independent under concurrency (no cross-request timestamp
-        ordering within a session).
-        """
-        self._clone_counter += 1
-        tag = f"lg{self._clone_counter}"
-        base = self._sessions[self._rng.randrange(len(self._sessions))]
-        reports = [
-            replace(
-                r,
-                session_key=f"{r.session_key}:{tag}",
-                device_id=f"{r.device_id}:{tag}",
-            )
-            for r in base
-        ]
-        payload = {"reports": [report_to_dict(r) for r in reports]}
-        return json.dumps(payload, separators=(",", ":")).encode("utf-8")
-
-    def next_request(self) -> tuple[str, bytes]:
-        """Draw one (endpoint, raw request bytes) from the mix."""
-        city = self.city
-        pick = self._rng.choices(
-            [name for name, _ in _MIX], weights=[w for _, w in _MIX]
-        )[0]
-        if pick == "scans":
-            body = self._scan_body()
-            return pick, self._request("POST", "/v1/scans", body)
-        if pick == "departures":
-            return pick, self._request(
-                "GET",
-                f"/v1/departures?stop={city.hub_stop_id}&now={city.now}"
-                f"&limit=10",
-            )
-        if pick == "positions":
-            return pick, self._request("GET", f"/v1/positions?now={city.now}")
-        hub_rid = city.hub_route_ids[
-            self._rng.randrange(len(city.hub_route_ids))
-        ]
-        origin = city.stop_id_on(hub_rid, 0)
-        return pick, self._request(
-            "GET",
-            f"/v1/trip-plan?from={origin}&to={city.hub_stop_id}"
-            f"&now={city.now}",
-        )
-
-
-def build_workload(city: SynthCity, *, seed: int) -> Workload:
-    return Workload(city=city, seed=seed)
-
-
-def build_schedule(
-    workload: Workload, stages: Sequence[StageConfig]
-) -> list[ScheduledRequest]:
-    """The full request stream: evenly spaced arrivals, fixed bytes."""
-    schedule: list[ScheduledRequest] = []
-    stage_start = 0.0
-    for stage_idx, stage in enumerate(stages):
-        for i in range(stage.request_count):
-            endpoint, raw = workload.next_request()
-            schedule.append(
-                ScheduledRequest(
-                    stage=stage_idx,
-                    offset_s=stage_start + i / stage.qps,
-                    endpoint=endpoint,
-                    raw=raw,
-                )
-            )
-        stage_start += stage.duration_s
-    return schedule
-
-
-# -- measurement -------------------------------------------------------------
+__all__ = ["percentile_ms"]
 
 
 def percentile_ms(latencies_s: Sequence[float], q: float) -> float:
-    """Exact nearest-rank percentile, in milliseconds."""
-    if not latencies_s:
-        return 0.0
-    if not 0.0 < q <= 100.0:
-        raise ValueError("percentile must be in (0, 100]")
-    ordered = sorted(latencies_s)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1] * 1000.0
-
-
-def _endpoint_stats(
-    samples: list[tuple[float, bool]]
-) -> EndpointStats:
-    latencies = [lat for lat, _ in samples]
-    return EndpointStats(
-        count=len(samples),
-        errors=sum(1 for _, ok in samples if not ok),
-        p50_ms=percentile_ms(latencies, 50.0),
-        p95_ms=percentile_ms(latencies, 95.0),
-        p99_ms=percentile_ms(latencies, 99.0),
-        max_ms=max(latencies) * 1000.0 if latencies else 0.0,
-    )
-
-
-def summarize_stage(
-    stage: StageConfig,
-    samples: list[tuple[str, float, bool]],
-    scheduled: int,
-    *,
-    saturation_fraction: float = 0.85,
-    saturation_p99_ms: float = 250.0,
-) -> StageResult:
-    """Fold one stage's (endpoint, latency_s, ok) samples into a result."""
-    per_endpoint: dict[str, list[tuple[float, bool]]] = {}
-    for endpoint, latency, ok in samples:
-        per_endpoint.setdefault(endpoint, []).append((latency, ok))
-    achieved = len(samples) / stage.duration_s
-    all_latencies = [lat for _, lat, _ in samples]
-    p99 = percentile_ms(all_latencies, 99.0)
-    return StageResult(
-        offered_qps=stage.qps,
-        duration_s=stage.duration_s,
-        scheduled=scheduled,
-        completed=len(samples),
-        errors=sum(1 for _, _, ok in samples if not ok),
-        achieved_qps=achieved,
-        saturated=(
-            achieved < saturation_fraction * stage.qps
-            or p99 > saturation_p99_ms
-        ),
-        endpoints={
-            name: _endpoint_stats(group)
-            for name, group in per_endpoint.items()
-        },
-    )
-
-
-async def _read_response(reader: asyncio.StreamReader) -> int:
-    """Read one framed response; returns the status code."""
-    head = await reader.readuntil(b"\r\n\r\n")
-    lines = head.decode("latin-1").split("\r\n")
-    status = int(lines[0].split(" ")[1])
-    length = 0
-    for line in lines[1:]:
-        if line.lower().startswith("content-length:"):
-            length = int(line.split(":", 1)[1].strip())
-    if length:
-        await reader.readexactly(length)
-    return status
-
-
-async def run_schedule(
-    host: str,
-    port: int,
-    stages: Sequence[StageConfig],
-    schedule: Sequence[ScheduledRequest],
-    *,
-    concurrency: int = 16,
-    saturation_fraction: float = 0.85,
-    saturation_p99_ms: float = 250.0,
-) -> list[StageResult]:
-    """Fire the schedule open-loop at a bound server; one result per stage.
-
-    Latency for each request is ``completion - scheduled_due_time``: a
-    request issued late (pool exhausted) or answered slowly both show up
-    as latency, which is what saturates the later stages of a rising
-    ramp.
-    """
-    loop = asyncio.get_running_loop()
-    pool: asyncio.Queue = asyncio.Queue()
-    for _ in range(concurrency):
-        pool.put_nowait(await asyncio.open_connection(host, port))
-    samples: dict[int, list[tuple[str, float, bool]]] = {
-        i: [] for i in range(len(stages))
-    }
-    t0 = loop.time()
-
-    async def fire(item: ScheduledRequest) -> None:
-        due = t0 + item.offset_s
-        delay = due - loop.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        conn = await pool.get()
-        reader, writer = conn
-        try:
-            writer.write(item.raw)
-            await writer.drain()
-            status = await _read_response(reader)
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            # connection died: drop it, replace it, count an error
-            writer.close()
-            conn = await asyncio.open_connection(host, port)
-            samples[item.stage].append(
-                (item.endpoint, loop.time() - due, False)
-            )
-            return
-        finally:
-            pool.put_nowait(conn)
-        samples[item.stage].append(
-            (item.endpoint, loop.time() - due, status == 200)
-        )
-
-    await asyncio.gather(*(fire(item) for item in schedule))
-    while not pool.empty():
-        _, writer = pool.get_nowait()
-        writer.close()
-    scheduled_per_stage = [
-        sum(1 for item in schedule if item.stage == i)
-        for i in range(len(stages))
-    ]
-    return [
-        summarize_stage(
-            stage,
-            samples[i],
-            scheduled_per_stage[i],
-            saturation_fraction=saturation_fraction,
-            saturation_p99_ms=saturation_p99_ms,
-        )
-        for i, stage in enumerate(stages)
-    ]
+    """Exact nearest-rank percentile of latencies in seconds, in milliseconds."""
+    return nearest_rank(sorted(latencies_s), q) * 1000.0

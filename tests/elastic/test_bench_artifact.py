@@ -1,42 +1,32 @@
-"""The committed BENCH_elastic.json artifact stays well-formed.
+"""The committed BENCH_elastic.json artifact tells the resharding story.
 
-Tier-1 shape gate, following the BENCH_* convention: the artifact must
-exist at the repo root, parse, and tell the resharding story — every
-scenario in the matrix present with its expected outcome, all parity
-checks green, nothing parked ever lost.  The drill is deterministic
+The shared gate (``tests/test_bench_artifacts.py``) checks the format;
+this one checks the story: every scenario in the matrix present with
+its expected outcome, all parity checks green, nothing parked ever
+lost.  The drill is deterministic
 (seeded chaos, no wall clocks), so exact counts are stable across
 machines.  Regenerate with::
 
-    python -m repro.cli elastic
+    python -m repro.cli elastic --out BENCH_elastic.json
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
 from tests.elastic.test_drill import EXPECTED_OUTCOMES
+from tests.test_bench_artifacts import load_bench
 
 pytestmark = pytest.mark.elastic
-
-ARTIFACT = Path(__file__).resolve().parents[2] / "BENCH_elastic.json"
 
 
 @pytest.fixture(scope="module")
 def bench():
-    assert ARTIFACT.is_file(), (
-        "BENCH_elastic.json is missing from the repo root; regenerate it "
-        "with `python -m repro.cli elastic`"
-    )
-    return json.loads(ARTIFACT.read_text())
+    return load_bench("BENCH_elastic.json")
 
 
 class TestArtifactShape:
-    def test_versioned_and_named(self, bench):
-        assert bench["version"] == 1
-        assert bench["benchmark"] == "elastic_reshard"
+    def test_config_sets_up_the_drill(self, bench):
         assert bench["config"]["phase_every_reports"] >= 1
         assert bench["config"]["city"]["num_pairs"] == 2
 

@@ -1,42 +1,31 @@
-"""The committed BENCH_fusion.json artifact stays well-formed.
+"""The committed BENCH_fusion.json artifact tells the AP-outage story.
 
-Tier-1 shape gate, following the BENCH_lifecycle.json convention: the
-artifact must exist at the repo root, parse, and tell the AP-outage
-story in the right *order* — healthy MAEs exactly equal (fusion is a
-pass-through on a fresh anchor, so parity is structural, not
+The shared gate (``tests/test_bench_artifacts.py``) checks the format;
+this one checks the story's *order*: healthy MAEs exactly equal (fusion
+is a pass-through on a fresh anchor, so parity is structural, not
 statistical), fused outage MAE far below wifi-only, and the learned GPS
 clock skew at the injected value.  The drill is seeded and report-time
-clocked, so unlike the other BENCH artifacts every number here is
-byte-reproducible.  Regenerate with::
+clocked, so every number here is byte-reproducible.  Regenerate with::
 
     python -m repro.cli fusion --out BENCH_fusion.json
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
-pytestmark = pytest.mark.fusion
+from tests.test_bench_artifacts import load_bench
 
-ARTIFACT = Path(__file__).resolve().parents[2] / "BENCH_fusion.json"
+pytestmark = pytest.mark.fusion
 
 
 @pytest.fixture(scope="module")
 def bench():
-    assert ARTIFACT.is_file(), (
-        "BENCH_fusion.json is missing from the repo root; regenerate it "
-        "with `python -m repro.cli fusion --out BENCH_fusion.json`"
-    )
-    return json.loads(ARTIFACT.read_text())
+    return load_bench("BENCH_fusion.json")
 
 
 class TestArtifactShape:
-    def test_versioned_and_named(self, bench):
-        assert bench["version"] == 1
-        assert bench["benchmark"] == "fusion_outage"
+    def test_config_sets_up_the_drill(self, bench):
         lo, hi = bench["config"]["outage_window_s"]
         assert hi - lo >= 5 * bench["config"]["wifi_fresh_s"]
 
@@ -64,10 +53,3 @@ class TestArtifactShape:
         assert counters["fusion.fused_fixes"] > 0
         assert counters["fusion.stored"] > 0
         assert counters["fusion.calibrations"] >= counters["fusion.anchors"]
-
-    def test_artifact_is_byte_reproducible_in_format(self):
-        # sorted keys + trailing newline: the committed form `repro.cli
-        # fusion` writes, so regeneration diffs stay clean
-        text = ARTIFACT.read_text()
-        assert text.endswith("\n")
-        assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text

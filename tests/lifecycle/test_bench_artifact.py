@@ -1,10 +1,9 @@
-"""The committed BENCH_lifecycle.json artifact stays well-formed.
+"""The committed BENCH_lifecycle.json artifact tells the regime-change story.
 
-Tier-1 shape gate, following the BENCH_serving.json convention: the
-artifact must exist at the repo root, parse, and tell the regime-change
-story in the right *order* — frozen MAE far above the calibration
-baseline, shadow candidate far below serving, promoted MAE back near
-baseline — without pinning machine-dependent exact values (only the
+The shared gate (``tests/test_bench_artifacts.py``) checks the format;
+this one checks the story's *order* — frozen MAE far above the
+calibration baseline, shadow candidate far below serving, promoted MAE
+back near baseline — without pinning machine-dependent exact values (only the
 retrain latency varies between machines).  Regenerate with::
 
     python -m repro.cli lifecycle --action bench --out BENCH_lifecycle.json
@@ -12,30 +11,20 @@ retrain latency varies between machines).  Regenerate with::
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
-pytestmark = pytest.mark.lifecycle
+from tests.test_bench_artifacts import load_bench
 
-ARTIFACT = Path(__file__).resolve().parents[2] / "BENCH_lifecycle.json"
+pytestmark = pytest.mark.lifecycle
 
 
 @pytest.fixture(scope="module")
 def bench():
-    assert ARTIFACT.is_file(), (
-        "BENCH_lifecycle.json is missing from the repo root; regenerate it "
-        "with `python -m repro.cli lifecycle --action bench "
-        "--out BENCH_lifecycle.json`"
-    )
-    return json.loads(ARTIFACT.read_text())
+    return load_bench("BENCH_lifecycle.json")
 
 
 class TestArtifactShape:
-    def test_versioned_and_named(self, bench):
-        assert bench["version"] == 1
-        assert bench["benchmark"] == "model_lifecycle"
+    def test_config_sets_up_the_drill(self, bench):
         assert bench["config"]["headway_s"] > bench["config"]["recent_window_s"]
 
     def test_frozen_model_degrades(self, bench):

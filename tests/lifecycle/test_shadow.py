@@ -7,7 +7,8 @@ import pytest
 from repro.core.arrival.history import TravelTimeStore
 from repro.core.arrival.predictor import ArrivalTimePredictor
 from repro.core.arrival.seasonal import SlotScheme
-from repro.lifecycle.shadow import ModelScore, ShadowEvaluator, nearest_rank
+from repro.core.server.metrics import nearest_rank
+from repro.lifecycle.shadow import ModelScore, ShadowEvaluator
 
 from tests.lifecycle.conftest import record
 
@@ -29,6 +30,13 @@ class TestNearestRank:
             nearest_rank([1.0], 0)
         with pytest.raises(ValueError):
             nearest_rank([1.0], 101)
+
+    def test_exact_percentiles(self):
+        one_to_hundred = [float(i) for i in range(1, 101)]
+        assert [nearest_rank(one_to_hundred, q) for q in (50.0, 95.0, 99.0, 100.0)] == [
+            50.0, 95.0, 99.0, 100.0,
+        ]
+        assert nearest_rank([42.0], 50.0) == nearest_rank([42.0], 99.0) == 42.0
 
 
 class TestModelScore:

@@ -11,8 +11,8 @@ hiccup inside the thin front-door slice can perturb the ratio, and the
 median over several rounds absorbs that.
 
 The backend is the durable pipeline at the checkpoint cadence the CLI's
-own ``checkpoint`` command uses — the deployment shape the committed
-BENCH_serving.json benchmarks.
+own ``checkpoint`` command uses — the deployment shape the end-to-end
+benchmark's ``rider_mix`` and ``noisy_scans`` workloads serve.
 """
 
 from __future__ import annotations

@@ -1,65 +1,17 @@
-"""The open-loop load generator: determinism, math, and a live mini-run.
+"""The serving benchmark's latency percentiles.
 
-The schedule is fixed before a byte hits a socket — same seed, same
-bytes — and latency is measured from the scheduled due time so queueing
-under overload is part of the number (no coordinated omission).
+``percentile_ms`` takes latencies in seconds and reports the exact
+nearest-rank percentile in milliseconds, so a reported p99 is always a
+latency some request really saw.
 """
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 
-from repro.serving import HttpServer, make_app
-from repro.serving.loadgen import (
-    StageConfig,
-    build_schedule,
-    build_workload,
-    percentile_ms,
-    run_schedule,
-    summarize_stage,
-)
+from repro.serving.loadgen import percentile_ms
 
 pytestmark = pytest.mark.serving
-
-STAGES = [StageConfig(qps=20.0, duration_s=0.5), StageConfig(qps=40.0, duration_s=0.5)]
-
-
-class TestScheduleDeterminism:
-    def test_same_seed_same_bytes(self, city):
-        one = build_schedule(build_workload(city, seed=7), STAGES)
-        two = build_schedule(build_workload(city, seed=7), STAGES)
-        assert one == two
-
-    def test_different_seed_different_stream(self, city):
-        one = build_schedule(build_workload(city, seed=7), STAGES)
-        two = build_schedule(build_workload(city, seed=8), STAGES)
-        assert [r.raw for r in one] != [r.raw for r in two]
-
-    def test_offsets_are_evenly_spaced_and_monotone(self, city):
-        schedule = build_schedule(build_workload(city, seed=1), STAGES)
-        offsets = [r.offset_s for r in schedule]
-        assert offsets == sorted(offsets)
-        stage0 = [r.offset_s for r in schedule if r.stage == 0]
-        assert len(stage0) == STAGES[0].request_count
-        gaps = {
-            round(b - a, 9) for a, b in zip(stage0, stage0[1:])
-        }
-        assert gaps == {round(1.0 / STAGES[0].qps, 9)}
-
-    def test_scan_sessions_never_collide(self, city):
-        # every scan request clones into a fresh namespace, so admission
-        # control's duplicate suppression can't contaminate the numbers
-        schedule = build_schedule(build_workload(city, seed=3), STAGES)
-        scans = [r.raw for r in schedule if r.endpoint == "scans"]
-        assert len(scans) == len(set(scans)) > 0
-
-    def test_bad_stage_config_rejected(self):
-        with pytest.raises(ValueError):
-            StageConfig(qps=0.0, duration_s=1.0)
-        with pytest.raises(ValueError):
-            StageConfig(qps=10.0, duration_s=-1.0)
 
 
 class TestPercentiles:
@@ -80,54 +32,3 @@ class TestPercentiles:
             percentile_ms([0.01], 0.0)
         with pytest.raises(ValueError):
             percentile_ms([0.01], 101.0)
-
-
-class TestSaturation:
-    def test_underachieving_stage_is_saturated(self):
-        stage = StageConfig(qps=100.0, duration_s=1.0)
-        samples = [("scans", 0.001, True)] * 50  # only half completed
-        result = summarize_stage(stage, samples, scheduled=100)
-        assert result.saturated
-        assert result.achieved_qps == 50.0
-
-    def test_slow_p99_is_saturated(self):
-        stage = StageConfig(qps=10.0, duration_s=1.0)
-        samples = [("scans", 0.001, True)] * 9 + [("scans", 0.9, True)]
-        result = summarize_stage(stage, samples, scheduled=10)
-        assert result.saturated
-
-    def test_healthy_stage_is_not(self):
-        stage = StageConfig(qps=10.0, duration_s=1.0)
-        samples = [("scans", 0.005, True)] * 10
-        result = summarize_stage(stage, samples, scheduled=10)
-        assert not result.saturated
-        assert result.errors == 0
-        assert result.endpoints["scans"].count == 10
-
-
-class TestLiveRun:
-    def test_mini_run_against_a_bound_server(self, city):
-        """End to end: bind, fire a half-second stage, fold the stats."""
-        twin = city.fresh_twin()
-        twin.replay()
-        server = HttpServer(make_app(twin.server).dispatch)
-        stages = [StageConfig(qps=20.0, duration_s=0.5)]
-        schedule = build_schedule(build_workload(city, seed=5), stages)
-
-        async def drive():
-            port = await server.start()
-            try:
-                return await run_schedule(
-                    "127.0.0.1", port, stages, schedule, concurrency=4
-                )
-            finally:
-                await server.stop()
-
-        results = asyncio.run(drive())
-        assert len(results) == 1
-        stage = results[0]
-        assert stage.scheduled == stages[0].request_count
-        assert stage.completed == stage.scheduled
-        assert stage.errors == 0
-        for stats in stage.endpoints.values():
-            assert 0.0 < stats.p50_ms <= stats.p95_ms <= stats.p99_ms

@@ -8,6 +8,11 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["not-a-figure"])
 
+    def test_retired_loadgen_is_unknown(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["loadgen"])
+        assert "unknown experiment(s): loadgen" in capsys.readouterr().err
+
     def test_table1_runs(self, capsys):
         assert main(["table1", "--quick"]) == 0
         out = capsys.readouterr().out
@@ -111,3 +116,28 @@ class TestJsonOutput:
         out = capsys.readouterr().out
         health = json.loads(out[out.index("{"): out.rindex("}") + 1])
         assert "status" in health
+
+
+class TestArtifactCli:
+    @pytest.mark.parametrize(
+        "argv, committed",
+        [
+            (["fusion"], "BENCH_fusion.json"),
+            (["lifecycle", "--action", "bench"], "BENCH_lifecycle.json"),
+        ],
+        ids=["fusion", "lifecycle"],
+    )
+    def test_quick_run_writes_only_to_an_explicit_out(
+        self, argv, committed, capsys, tmp_path, monkeypatch
+    ):
+        import json
+
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--quick"]) == 0
+        assert "not written" in capsys.readouterr().out
+        assert not (tmp_path / committed).exists()
+
+        out = tmp_path / "quick.json"
+        assert main(argv + ["--quick", "--out", str(out)]) == 0
+        assert f"wrote {out}" in capsys.readouterr().out
+        assert json.loads(out.read_text())["config"]["quick"] is True
