@@ -168,9 +168,6 @@ class AnalysisResult:
         """No active error-severity findings (warns report but don't gate)."""
         return not self.errors
 
-    def all_findings(self) -> list[Finding]:
-        return sorted(self.findings + self.suppressed)
-
 
 def _want(rule_id: str, select: frozenset[str] | None, ignore: frozenset[str]) -> bool:
     if rule_id == PARSE_RULE_ID:

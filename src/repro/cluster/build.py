@@ -12,14 +12,12 @@ for foreign routes ``k`` on its own segments even though it will never
 track their buses.
 
 :func:`build_cluster` wires the whole thing: plan -> per-shard servers
--> :class:`ShardNode` (optionally durable, each with its own
-``shard-NN/`` WAL/checkpoint directory) -> :class:`DeltaBus` ->
-:class:`ClusterRouter`.
+-> :class:`ShardNode` -> :class:`DeltaBus` -> :class:`ClusterRouter`.  A
+durable cluster is that router plus one :meth:`ShardNode.make_durable`
+per node, each over its own ``shard-NN/`` WAL/checkpoint directory.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from repro.core.server.server import WiLocatorServer
 
@@ -61,43 +59,13 @@ def shard_server(full: WiLocatorServer, plan: ShardPlan, shard_id: int) -> WiLoc
 
 
 def build_cluster(
-    full: WiLocatorServer,
-    plan: ShardPlan,
-    *,
-    data_root: str | Path | None = None,
-    bus: DeltaBus | None = None,
-    outbox_limit: int = 1024,
-    breaker_threshold: int = 3,
-    breaker_probe_after: int = 8,
-    **durable_kwargs,
+    full: WiLocatorServer, plan: ShardPlan, *, bus: DeltaBus | None = None
 ) -> ClusterRouter:
-    """Build nodes for every planned shard and return the wired router.
-
-    With ``data_root`` set, every shard runs durably out of
-    ``data_root/shard-NN`` (``durable_kwargs`` pass through to
-    :class:`~repro.pipeline.durable.DurableServer` — batching,
-    checkpoint cadence, chaos ``fs`` hooks); otherwise shards are plain
-    in-memory servers.
-    """
+    """Build an in-memory node for every planned shard; the wired router."""
     bus = bus if bus is not None else DeltaBus()
     nodes: dict[int, ShardNode] = {}
     for shard_id in plan.shard_ids():
-        node = ShardNode(
-            shard_id,
-            shard_server(full, plan, shard_id),
-            plan,
-            outbox_limit=outbox_limit,
-        )
-        if data_root is not None:
-            node.make_durable(
-                Path(data_root) / f"shard-{shard_id:02d}", **durable_kwargs
-            )
+        node = ShardNode(shard_id, shard_server(full, plan, shard_id), plan)
         bus.attach(node)
         nodes[shard_id] = node
-    return ClusterRouter(
-        plan,
-        nodes,
-        bus,
-        breaker_threshold=breaker_threshold,
-        breaker_probe_after=breaker_probe_after,
-    )
+    return ClusterRouter(plan, nodes, bus)

@@ -34,11 +34,9 @@ from repro.eval.synth_city import SynthCity, build_overlap_city
 from repro.guard.chaos import FaultyFS
 from repro.sensing.reports import ScanReport
 
-from repro.cluster.bus import DeltaBus
 from repro.cluster.build import build_cluster, shard_server
 from repro.cluster.experiment import split_pairs_plan
 from repro.cluster.node import ShardNode
-from repro.cluster.plan import ShardPlan
 from repro.cluster.router import ClusterRouter
 
 __all__ = ["FailoverResult", "run_failover_drill"]
@@ -85,48 +83,16 @@ class FailoverResult:
         return "\n".join(lines)
 
 
-def _durable_node(
-    city: SynthCity,
-    plan: ShardPlan,
-    shard_id: int,
-    data_root: Path,
-    fs: FaultyFS | None,
-) -> ShardNode:
-    node = ShardNode(shard_id, shard_server(city.server, plan, shard_id), plan)
-    node.make_durable(
-        data_root / f"shard-{shard_id:02d}",
-        max_batch=4,
-        checkpoint_every=0,  # the drill checkpoints explicitly
-        fs=fs,
-        recover=True,
-    )
-    return node
-
-
 def _canonical_live(core: WiLocatorServer) -> list[tuple]:
     """The live store's records, order-independent."""
     live = core.predictor.live
     return sorted(
-        (r.segment_id, r.route_id, round(r.t_enter, 6), round(r.t_exit, 6))
-        for sid in live.segment_ids()
-        for r in live.records(sid)
+        r.canonical_key() for sid in live.segment_ids() for r in live.records(sid)
     )
 
 
 def _canonical_sessions(core: WiLocatorServer) -> list[tuple]:
-    out = []
-    for key in sorted(core.sessions):
-        session = core.sessions[key]
-        last = session.trajectory.last
-        out.append(
-            (
-                key,
-                session.route_id,
-                None if last is None else round(last.t, 6),
-                None if last is None else round(last.arc_length, 3),
-            )
-        )
-    return out
+    return [(key, *core.sessions[key].fingerprint()) for key in sorted(core.sessions)]
 
 
 def _compare(
@@ -169,16 +135,13 @@ def run_failover_drill(data_root: str | Path, **city_kwargs) -> FailoverResult:
     stream = sorted(city.reports, key=lambda r: r.t)
 
     fs = FaultyFS()
-    bus = DeltaBus()
-    nodes = {
-        sid: _durable_node(
-            city, plan, sid, data_root, fs if sid == _VICTIM else None
+    router = build_cluster(city.server, plan)
+    for sid, node in router.nodes.items():
+        node.make_durable(
+            data_root / f"shard-{sid:02d}",
+            max_batch=4,
+            fs=fs if sid == _VICTIM else None,
         )
-        for sid in plan.shard_ids()
-    }
-    for node in nodes.values():
-        bus.attach(node)
-    router = ClusterRouter(plan, nodes, bus)
 
     twin_city = city.fresh_twin()
     twin_router = build_cluster(
@@ -263,7 +226,7 @@ def run_failover_drill(data_root: str | Path, **city_kwargs) -> FailoverResult:
 
         if to_victim and not crashed:
             if len(sent_victim) == checkpoint_at:
-                nodes[_VICTIM].checkpoint()
+                router.nodes[_VICTIM].checkpoint()
             if len(sent_victim) == crash_at + 1:
                 router.crash_shard(_VICTIM)
                 crashed = True

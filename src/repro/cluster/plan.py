@@ -159,15 +159,6 @@ class ShardPlan:
             rid for rid, sid in self.assignment.items() if sid == shard_id
         )
 
-    def owned_segments(self, shard_id: int) -> set[str]:
-        """Segments traversed by at least one of the shard's routes."""
-        shards = {rid: self.shard_of(rid) for rid in self.assignment}
-        owned: set[str] = set()
-        for sid, rids in self.segment_routes.items():
-            if any(shards[rid] == shard_id for rid in rids):
-                owned.add(sid)
-        return owned
-
     def published_segments(self, shard_id: int) -> set[str]:
         """Overlapped segments whose local traversals other shards need."""
         return self._cross_shard_segments(shard_id)

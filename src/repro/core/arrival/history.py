@@ -46,6 +46,16 @@ class TravelTimeRecord:
     def day(self) -> int:
         return int(self.t_enter // DAY_S)
 
+    def canonical_key(self) -> tuple:
+        """Identity for comparing record multisets across servers
+        (segment, route, entry/exit rounded to the microsecond)."""
+        return (
+            self.segment_id,
+            self.route_id,
+            round(self.t_enter, 6),
+            round(self.t_exit, 6),
+        )
+
 
 class TravelTimeStore:
     """Per-segment, time-ordered travel-time records.

@@ -35,10 +35,6 @@ class ArrivalPrediction:
     segments_ahead: int
     stops_ahead: int
 
-    @property
-    def ride_time(self) -> float:
-        return self.t_arrival - self.t_query
-
 
 class ArrivalTimePredictor:
     """Eq. 8 segment predictions chained into Eq. 9 stop arrivals.

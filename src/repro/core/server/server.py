@@ -217,9 +217,7 @@ class WiLocatorServer:
             session = BusSession(
                 session_key=report.session_key,
                 route_id=report.route_id,
-                tracker=BusTracker(
-                    SVDPositioner(self.svds[report.route_id], self.known_bssids)
-                ),
+                tracker=self._tracker(report.route_id),
             )
             self.sessions[report.session_key] = session
             self.index.open_session(report.session_key, report.route_id)
@@ -263,6 +261,46 @@ class WiLocatorServer:
             apply(report)
             for report in sorted(reports, key=lambda r: r.t)
         ]
+
+    # -- session state -------------------------------------------------------
+
+    def _tracker(self, route_id: str) -> BusTracker:
+        return BusTracker(SVDPositioner(self.svds[route_id], self.known_bssids))
+
+    def adopt_sessions(self, states: Iterable[dict]) -> int:
+        """Rebuild sessions from their ``state_dict()`` and index them.
+
+        The one path by which sessions enter a server other than ingest:
+        checkpoint restore and both reshard hand-offs.  Sessions are
+        inserted in the given order (appended after any already open),
+        so indexed queries keep a deterministic iteration order.
+        Returns how many were adopted; a session on a route this server
+        does not operate raises ``ValueError``.
+        """
+        adopted = 0
+        for data in states:
+            route_id = data["route_id"]
+            if route_id not in self.svds:
+                raise ValueError(f"checkpointed session on unknown route {route_id!r}")
+            session = BusSession.from_state(data, self._tracker(route_id))
+            self.sessions[session.session_key] = session
+            self._register(session)
+            adopted += 1
+        return adopted
+
+    def reindex(self) -> None:
+        """Install a fresh :class:`RouteIndex` over the current route set,
+        re-registering every open session in ``sessions`` order (after a
+        route set change or a wholesale session swap)."""
+        self.index = RouteIndex(self.routes)
+        for session in self.sessions.values():
+            self._register(session)
+
+    def _register(self, session: BusSession) -> None:
+        key = session.session_key
+        self.index.open_session(key, session.route_id)
+        if session.last_report_t is not None:
+            self.index.note_report(key, session.last_report_t)
 
     # -- multi-sensor observations (PR 9) ------------------------------------
 

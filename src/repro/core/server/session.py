@@ -55,6 +55,14 @@ class BusSession:
         """Whether the session stopped reporting (trip over / phone off)."""
         return self.last_report_t is not None and now - self.last_report_t > timeout_s
 
+    def fingerprint(self) -> tuple:
+        """Route and last fix (time to the µs, arc to the mm): what two
+        servers tracking the same bus must agree on."""
+        last = self.trajectory.last
+        if last is None:
+            return (self.route_id, None, None)
+        return (self.route_id, round(last.t, 6), round(last.arc_length, 3))
+
     # -- durability (checkpoint round-trip) ----------------------------------
 
     def state_dict(self) -> dict[str, Any]:

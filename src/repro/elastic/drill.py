@@ -43,10 +43,8 @@ from repro.eval.synth_city import SynthCity, build_overlap_city
 from repro.guard.chaos import ChaosConfig, ChaosInjector, FaultyFS
 from repro.sensing.reports import ScanReport
 
-from repro.cluster.build import build_cluster, shard_server
-from repro.cluster.bus import DeltaBus
+from repro.cluster.build import build_cluster
 from repro.cluster.drill import _compare
-from repro.cluster.node import ShardNode
 from repro.cluster.plan import ShardPlan
 from repro.cluster.router import ClusterRouter
 
@@ -139,29 +137,6 @@ class ElasticDrillResult:
 # -- harness -----------------------------------------------------------------
 
 
-def _build_durable(
-    city: SynthCity,
-    plan: ShardPlan,
-    data_root: Path,
-    fs_by_shard: dict[int, FaultyFS] | None = None,
-) -> ClusterRouter:
-    fs_by_shard = fs_by_shard or {}
-    bus = DeltaBus()
-    nodes: dict[int, ShardNode] = {}
-    for sid in plan.shard_ids():
-        node = ShardNode(sid, shard_server(city.server, plan, sid), plan)
-        node.make_durable(
-            data_root / f"shard-{sid:02d}",
-            max_batch=4,
-            checkpoint_every=0,
-            fs=fs_by_shard.get(sid),
-            recover=True,
-        )
-        bus.attach(node)
-        nodes[sid] = node
-    return ClusterRouter(plan, nodes, bus)
-
-
 def _step(router: ClusterRouter, twin: ClusterRouter, report: ScanReport) -> None:
     twin.ingest(report)
     twin.flush()
@@ -236,7 +211,9 @@ def _scenario_split_commit(root: Path) -> tuple[ScenarioResult, dict, int]:
         ChaosConfig(drop_p=0.05, duplicate_p=0.05, rss_spike_p=0.1), seed=7
     )
     stream = injector.corrupt(sorted(city.reports, key=lambda r: r.t))
-    router = _build_durable(city, plan, root / "cluster")
+    router = build_cluster(city.server, plan)
+    for sid, node in router.nodes.items():
+        node.make_durable(root / "cluster" / f"shard-{sid:02d}", max_batch=4)
     scaler = Autoscaler(
         router,
         AutoscaleConfig(
@@ -330,8 +307,13 @@ def _run_split_with_fault(
     )
     new_plan = ShardPlan.from_assignment(_SPLIT_ASSIGNMENT, city.routes)
     stream = sorted(city.reports, key=lambda r: r.t)
-    fs_by_shard = {1: source_fs} if source_fs is not None else None
-    router = _build_durable(city, plan, root / "cluster", fs_by_shard)
+    router = build_cluster(city.server, plan)
+    for sid, node in router.nodes.items():
+        node.make_durable(
+            root / "cluster" / f"shard-{sid:02d}",
+            max_batch=4,
+            fs=source_fs if sid == 1 else None,
+        )
     twin_city = city.fresh_twin()
     twin = build_cluster(
         twin_city.server,
@@ -463,7 +445,9 @@ def _run_split_with_resume(
     )
     new_plan = ShardPlan.from_assignment(_SPLIT_ASSIGNMENT, city.routes)
     stream = sorted(city.reports, key=lambda r: r.t)
-    router = _build_durable(city, plan, root / "cluster")
+    router = build_cluster(city.server, plan)
+    for sid, node in router.nodes.items():
+        node.make_durable(root / "cluster" / f"shard-{sid:02d}", max_batch=4)
     twin_city = city.fresh_twin()
     twin = build_cluster(
         twin_city.server,
@@ -542,7 +526,9 @@ def _scenario_autoscale_merge(root: Path) -> tuple[ScenarioResult, dict]:
     city = build_overlap_city(**_CITY_KWARGS)
     plan = ShardPlan.from_assignment(_COLD_ASSIGNMENT, city.routes)
     stream = sorted(city.reports, key=lambda r: r.t)
-    router = _build_durable(city, plan, root / "cluster")
+    router = build_cluster(city.server, plan)
+    for sid, node in router.nodes.items():
+        node.make_durable(root / "cluster" / f"shard-{sid:02d}", max_batch=4)
     twin_city = city.fresh_twin()
     twin = build_cluster(
         twin_city.server,

@@ -55,15 +55,11 @@ from __future__ import annotations
 from collections import Counter
 from pathlib import Path
 
-from repro.core.positioning.locator import SVDPositioner
-from repro.core.positioning.tracker import BusTracker
 from repro.core.server.persistence import store_from_dict
 from repro.core.server.server import WiLocatorServer
-from repro.core.server.session import BusSession
 from repro.pipeline.checkpoint import latest_checkpoint
 from repro.pipeline.replay import CHECKPOINT_SUBDIR, WAL_SUBDIR
 from repro.pipeline.wal import read_wal
-from repro.roadnet.index import RouteIndex
 from repro.cluster.build import shard_server
 from repro.cluster.node import OUT_SEQ_COUNTER, ShardNode, _applied_counter
 from repro.cluster.plan import ShardPlan
@@ -97,15 +93,6 @@ class MigrationBarrierError(RuntimeError):
     """
 
 
-def _canonical_record(record) -> tuple:
-    return (
-        record.segment_id,
-        record.route_id,
-        round(record.t_enter, 6),
-        round(record.t_exit, 6),
-    )
-
-
 def _own_segments(core: WiLocatorServer) -> set[str]:
     return {sid for route in core.routes.values() for sid in route.segment_ids}
 
@@ -113,16 +100,6 @@ def _own_segments(core: WiLocatorServer) -> set[str]:
 def _live_record_count(core: WiLocatorServer) -> int:
     live = core.predictor.live
     return sum(len(live.records(sid)) for sid in live.segment_ids())
-
-
-def _rebuild_index(core: WiLocatorServer) -> None:
-    """A fresh :class:`RouteIndex` over the core's current route set,
-    re-registering every open session in its original creation order."""
-    core.index = RouteIndex(core.routes)
-    for key, session in core.sessions.items():
-        core.index.open_session(key, session.route_id)
-        if session.last_report_t is not None:
-            core.index.note_report(key, session.last_report_t)
 
 
 class ReshardEngine:
@@ -381,22 +358,9 @@ class ReshardEngine:
             "reshard.handoff_records", _live_record_count(staging)
         )
         moved = set(self.moved_routes)
-        handed = 0
-        for sdata in data["sessions"]:
-            route_id = sdata["route_id"]
-            if route_id not in moved:
-                continue
-            tracker = BusTracker(
-                SVDPositioner(staging.svds[route_id], staging.known_bssids)
-            )
-            session = BusSession.from_state(sdata, tracker)
-            staging.sessions[session.session_key] = session
-            staging.index.open_session(session.session_key, route_id)
-            if session.last_report_t is not None:
-                staging.index.note_report(
-                    session.session_key, session.last_report_t
-                )
-            handed += 1
+        handed = staging.adopt_sessions(
+            s for s in data["sessions"] if s["route_id"] in moved
+        )
         self.router.metrics.incr("reshard.handoff_sessions", handed)
 
     def _replay_suffix(self, core: WiLocatorServer, *, after_seq: int) -> int:
@@ -490,26 +454,16 @@ class ReshardEngine:
         for rid in self.moved_routes:
             target_core.routes[rid] = source_core.routes[rid]
             target_core.svds[rid] = source_core.svds[rid]
+            target_core.fusion.add_route(source_core.routes[rid])
         new_segments = _own_segments(target_core) - pre_own
         history = source_core.predictor.history
         for seg_id in sorted(set(history.segment_ids()) & new_segments):
             for record in history.records(seg_id):
                 target_core.predictor.history.add(record)
-        handed = 0
-        for key in sorted(
-            k for k, s in source_core.sessions.items() if s.route_id in moved
-        ):
-            sdata = source_core.sessions[key].state_dict()
-            tracker = BusTracker(
-                SVDPositioner(
-                    target_core.svds[sdata["route_id"]],
-                    target_core.known_bssids,
-                )
-            )
-            session = BusSession.from_state(sdata, tracker)
-            target_core.sessions[session.session_key] = session
-            handed += 1
-        _rebuild_index(target_core)
+        target_core.reindex()
+        handed = target_core.adopt_sessions(
+            s.state_dict() for s in source_core.sessions.values() if s.route_id in moved
+        )
         self.router.metrics.incr("reshard.handoff_sessions", handed)
         return target_core
 
@@ -529,7 +483,7 @@ class ReshardEngine:
         own = _own_segments(target_core)
         target_live = target_core.predictor.live
         have = Counter(
-            _canonical_record(r)
+            r.canonical_key()
             for sid in target_live.segment_ids()
             for r in target_live.records(sid)
         )
@@ -537,7 +491,7 @@ class ReshardEngine:
         synced = 0
         for seg_id in sorted(set(source_live.segment_ids()) & own):
             for record in source_live.records(seg_id):
-                key = _canonical_record(record)
+                key = record.canonical_key()
                 if have[key] > 0:
                     have[key] -= 1
                 else:
@@ -552,22 +506,14 @@ class ReshardEngine:
     ) -> None:
         """Catch-up must have converged before the barrier may commit."""
         moved = set(self.moved_routes)
-
-        def state(core: WiLocatorServer, key: str) -> tuple | None:
-            session = core.sessions.get(key)
-            if session is None:
-                return None
-            last = session.trajectory.last
-            return (
-                session.route_id,
-                None if last is None else round(last.t, 6),
-                None if last is None else round(last.arc_length, 3),
-            )
-
         for key in sorted(
             k for k, s in source_core.sessions.items() if s.route_id in moved
         ):
-            if state(source_core, key) != state(target_core, key):
+            moved_to = target_core.sessions.get(key)
+            if (
+                moved_to is None
+                or moved_to.fingerprint() != source_core.sessions[key].fingerprint()
+            ):
                 raise MigrationBarrierError(
                     f"catch-up diverged on session {key!r}"
                 )
@@ -670,7 +616,7 @@ class ReshardEngine:
         core.predictor.history = core.predictor.history.filtered(
             lambda r: r.segment_id in own
         )
-        _rebuild_index(core)
+        core.reindex()
         return (len(stale_keys), before - _live_record_count(core))
 
     def _commit(self, *, now: float | None = None) -> None:

@@ -90,9 +90,6 @@ class BssidHealthTracker:
         until = self._demoted_until.get(bssid)
         return until is not None and t <= until
 
-    def demoted_at(self, t: float) -> set[str]:
-        return {b for b, until in self._demoted_until.items() if t <= until}
-
     def has_demotions(self) -> bool:
         """Cheap fast-path test: has anything ever been demoted (and not pruned)?"""
         return bool(self._demoted_until)

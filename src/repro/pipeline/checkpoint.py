@@ -26,8 +26,6 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.core.positioning.locator import SVDPositioner
-from repro.core.positioning.tracker import BusTracker
 from repro.core.server.persistence import (
     atomic_write_text,
     check_version,
@@ -36,8 +34,6 @@ from repro.core.server.persistence import (
     store_to_dict,
 )
 from repro.core.server.server import WiLocatorServer
-from repro.core.server.session import BusSession
-from repro.roadnet.index import RouteIndex
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -79,7 +75,8 @@ def restore_into(server: WiLocatorServer, data: dict[str, Any]) -> int:
     known BSSIDs, history, slot scheme) the checkpointed server ran with;
     a slot-scheme mismatch is detected and raises, the rest is the
     caller's contract.  Sessions are rebuilt in their original creation
-    order so indexed queries keep their deterministic iteration order.
+    order through :meth:`WiLocatorServer.adopt_sessions`, so indexed
+    queries keep their deterministic iteration order.
     A legacy ``"stats"`` entry (checkpoints written while the server kept
     a separate stats ledger) is ignored: the counters carry the same
     values.
@@ -94,21 +91,8 @@ def restore_into(server: WiLocatorServer, data: dict[str, Any]) -> int:
     server.predictor.live = store_from_dict(data["live"])
     server.delta.load_state(data["delta"])
     server.sessions.clear()
-    server.index = RouteIndex(server.routes)
-    for sdata in data["sessions"]:
-        route_id = sdata["route_id"]
-        if route_id not in server.svds:
-            raise ValueError(
-                f"checkpointed session on unknown route {route_id!r}"
-            )
-        tracker = BusTracker(
-            SVDPositioner(server.svds[route_id], server.known_bssids)
-        )
-        session = BusSession.from_state(sdata, tracker)
-        server.sessions[session.session_key] = session
-        server.index.open_session(session.session_key, route_id)
-        if session.last_report_t is not None:
-            server.index.note_report(session.session_key, session.last_report_t)
+    server.reindex()
+    server.adopt_sessions(data["sessions"])
     server.metrics.counters.clear()
     server.metrics.counters.update(data["counters"])
     return int(data["wal_seq"])

@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 
 from repro.core.server import RiderAPI
 from repro.core.server.api import LivePosition
-from repro.elastic.engine import _rebuild_index
 from repro.eval.synth_city import build_overlap_city
 from repro.geometry import GeoPoint, LocalProjection
 from repro.lifecycle import (
@@ -201,7 +200,7 @@ def test_board_bytes_equal_the_oracle_after_every_step(steps):
             elif kind == "restore" and saved is not None:
                 restore_into(server, saved)
             elif kind == "reshard":
-                _rebuild_index(server)
+                server.reindex()
             elif kind == "promote" and manager.retrain(now)["ok"]:
                 promoted |= manager.try_promote(force=True)["ok"]
             elif kind == "rollback" and promoted:

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.build import shard_server
-from repro.cluster.bus import DeltaBus
-from repro.cluster.node import ShardNode
+from repro.cluster.build import build_cluster
 from repro.cluster.plan import ShardPlan
-from repro.cluster.router import ClusterRouter
 from repro.eval.synth_city import build_overlap_city
 
 # Two pairs so shards hold multiple routes: A00/A01 query, B00/B01 feed.
@@ -39,22 +36,15 @@ def plan(city):
 
 
 def build_durable(city, plan, data_root, fs_by_shard=None):
-    """A durable cluster over ``plan``; mirrors the drill's builder."""
-    fs_by_shard = fs_by_shard or {}
-    bus = DeltaBus()
-    nodes = {}
-    for sid in plan.shard_ids():
-        node = ShardNode(sid, shard_server(city.server, plan, sid), plan)
+    """A durable cluster over ``plan``, built the way the drill builds it."""
+    router = build_cluster(city.server, plan)
+    for sid, node in router.nodes.items():
         node.make_durable(
             data_root / f"shard-{sid:02d}",
             max_batch=4,
-            checkpoint_every=0,
-            fs=fs_by_shard.get(sid),
-            recover=True,
+            fs=(fs_by_shard or {}).get(sid),
         )
-        bus.attach(node)
-        nodes[sid] = node
-    return ClusterRouter(plan, nodes, bus)
+    return router
 
 
 def feed(router, city):

@@ -21,6 +21,7 @@ from repro.elastic.machine import (
     CUTOVER,
     MigrationJournal,
 )
+from repro.fusion.observations import GpsObservation
 from repro.guard.chaos import FaultyFS
 
 from tests.elastic.conftest import TWO_SHARDS, build_durable, feed
@@ -197,3 +198,74 @@ class TestMergeCommit:
         assert sorted(router.nodes) == [0, 1]
         twin = twin_on(city, merged, tmp_path / "twin")
         assert _compare(city, router, twin) == []
+
+
+MERGE_ALL = {"A00": 0, "A01": 0, "B00": 0, "B01": 0}
+
+
+def moved_view(core, routes, now):
+    """Moved-route sessions' states (``sessions`` order) and index answers."""
+    states = [s.state_dict() for s in core.sessions.values() if s.route_id in routes]
+    index = {
+        r: (
+            core.index.active_session_keys(now, route_id=r),
+            core.index.active_session_keys(now, timeout_s=now, route_id=r),
+        )
+        for r in sorted(routes)
+    }
+    return states, index
+
+
+class TestHandoff:
+    @pytest.mark.parametrize(
+        "assignment, source, target",
+        [(SPLIT, 1, 2), (MERGE_ALL, 1, 0)],
+        ids=["split", "merge"],
+    )
+    def test_moved_sessions_arrive_whole(
+        self, city, plan, tmp_path, assignment, source, target
+    ):
+        router = build_durable(city, plan, tmp_path / "cluster")
+        feed(router, city)
+        new_plan = ShardPlan.from_assignment(assignment, city.routes)
+        moved = {rid for rid in city.routes if plan.shard_of(rid) != new_plan.shard_of(rid)}
+        source_core = router.nodes[source].core
+        now = max(
+            s.last_report_t
+            for s in source_core.sessions.values()
+            if s.route_id in moved and s.last_report_t is not None
+        )
+        before = moved_view(source_core, moved, now)
+        assert before[0] and all(active for active, _ in before[1].values())
+        engine = ReshardEngine(
+            router, new_plan, tmp_path / "journal", data_root=tmp_path / "cluster"
+        )
+        assert engine.run(now=city.now) == COMMITTED
+        assert moved_view(router.nodes[target].core, moved, now) == before
+
+    def test_merged_routes_are_known_to_the_survivors_fusion(
+        self, city, plan, tmp_path
+    ):
+        router = build_durable(city, plan, tmp_path / "cluster")
+        feed(router, city)
+        engine = ReshardEngine(
+            router,
+            ShardPlan.from_assignment(MERGE_ALL, city.routes),
+            tmp_path / "journal",
+        )
+        assert engine.run(now=city.now) == COMMITTED
+        twin = twin_on(city, MERGE_ALL, tmp_path / "twin")
+        route = city.routes["B00"]
+        mid = route.point_at(route.length / 2)
+        probe = GpsObservation(
+            device_id="gps-probe",
+            session_key="bus:B00:0",
+            route_id="B00",
+            t=city.now,
+            x=mid.x,
+            y=mid.y,
+        )
+        for cluster in (twin, router):
+            assert cluster.ingest_observation(probe)
+            gps = cluster.nodes[0].core.fusion.health()["sources"]["gps"]
+            assert gps["rejected"] == 0
