@@ -38,9 +38,7 @@ def extract_traversals(
     route = trajectory.route
     records: list[TravelTimeRecord] = []
     last = trajectory.last
-    for seg in route.segments:
-        s0 = route.segment_start_arc(seg.segment_id)
-        s1 = s0 + seg.length
+    for segment_id, s0, s1 in route.segment_spans:
         t_enter = trajectory.time_at_arc(s0)
         t_exit = trajectory.time_at_arc(s1)
         if (
@@ -57,7 +55,7 @@ def extract_traversals(
         records.append(
             TravelTimeRecord(
                 route_id=route.route_id,
-                segment_id=seg.segment_id,
+                segment_id=segment_id,
                 t_enter=t_enter,
                 t_exit=t_exit,
             )
@@ -75,11 +73,6 @@ class IncrementalExtractor:
 
     def __init__(self, trajectory: Trajectory) -> None:
         self._trajectory = trajectory
-        route = trajectory.route
-        self._boundaries: list[tuple[str, float, float]] = []
-        for seg in route.segments:
-            s0 = route.segment_start_arc(seg.segment_id)
-            self._boundaries.append((seg.segment_id, s0, s0 + seg.length))
         self._emitted: set[str] = set()
 
     @property
@@ -98,7 +91,7 @@ class IncrementalExtractor:
             return []
         out: list[TravelTimeRecord] = []
         route = self._trajectory.route
-        for segment_id, s0, s1 in self._boundaries:
+        for segment_id, s0, s1 in route.segment_spans:
             if segment_id in self._emitted or last.arc_length < s1:
                 continue
             t_enter = self._trajectory.time_at_arc(s0)

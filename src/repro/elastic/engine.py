@@ -369,9 +369,10 @@ class ReshardEngine:
         The watermark is the last WAL sequence *scanned* (not just
         replayed), so a later call never re-reads records it has seen —
         replay stays exactly-once even though the WAL keeps growing
-        under the live source.
+        under the live source; segments holding only records
+        ``<= after_seq`` are not opened.
         """
-        result = read_wal(self._source_data_dir() / WAL_SUBDIR)
+        result = read_wal(self._source_data_dir() / WAL_SUBDIR, after_seq=after_seq)
         moved = set(self.moved_routes)
         suffix = [
             rec.report

@@ -28,11 +28,17 @@ CHECKPOINT_SUBDIR = "checkpoints"
 
 @dataclass(frozen=True, slots=True)
 class RecoveryReport:
-    """What one :func:`recover` call found and did."""
+    """What one :func:`recover` call found and did.
+
+    ``wal_records`` is ``skipped + replayed``; ``unopened`` of the skipped
+    records lie in segments the checkpoint covers, counted from their
+    names without reading them.
+    """
 
     checkpoint_path: str | None
     checkpoint_seq: int
     wal_records: int
+    unopened: int
     replayed: int
     skipped: int
     truncated: bool
@@ -44,7 +50,12 @@ class RecoveryReport:
         ckpt = self.checkpoint_path or "(none)"
         lines = [
             f"checkpoint:     {ckpt} (covers seq <= {self.checkpoint_seq})",
-            f"wal records:    {self.wal_records} readable"
+            f"wal records:    {self.wal_records} "
+            + (
+                f"({self.unopened} in covered segments, not opened)"
+                if self.unopened
+                else "readable"
+            )
             + (f" (stopped early: {self.error})" if self.truncated else ""),
             f"replayed:       {self.replayed} "
             f"(skipped {self.skipped} already in checkpoint)",
@@ -68,6 +79,8 @@ def recover(
     newest loadable checkpoint is restored first (a damaged newest file
     falls back to the previous one), then every readable WAL record past
     its stamped sequence is replayed through the admitted ingest path.
+    WAL segments that hold only records the restored checkpoint covers
+    are not opened (see :func:`~repro.pipeline.wal.read_wal`).
 
     With ``strict=True`` a damaged WAL raises
     :class:`~repro.pipeline.wal.WalCorruptionError` after restoring what
@@ -84,13 +97,15 @@ def recover(
     else:
         ckpt_seq = -1
         checkpoint_path = None
-    result = read_wal(data_dir / WAL_SUBDIR)
+    # Segments the restored checkpoint covers are not opened; their
+    # records count as skipped all the same.
+    result = read_wal(data_dir / WAL_SUBDIR, after_seq=ckpt_seq)
     # The WAL only ever contains admitted reports (DurableServer admits at
     # submission time), so the suffix replays through the admitted batch
     # path — running admission a second time would double the admission
     # counters and corrupt duplicate-suppression state.
     to_replay = [r.report for r in result.records if r.seq > ckpt_seq]
-    skipped = len(result.records) - len(to_replay)
+    skipped = result.unopened + len(result.records) - len(to_replay)
     server.ingest_many(to_replay, admitted=True)
     replayed = len(to_replay)
     server.metrics.incr("replay.records", replayed)
@@ -99,14 +114,16 @@ def recover(
     server.metrics.observe("replay", duration)
     if strict and result.error is not None:
         raise WalCorruptionError(result.error)
+    last_seq = max(ckpt_seq, -1 if result.last_seq is None else result.last_seq)
     return RecoveryReport(
         checkpoint_path=checkpoint_path,
         checkpoint_seq=ckpt_seq,
-        wal_records=result.salvaged,
+        wal_records=skipped + replayed,
+        unopened=result.unopened,
         replayed=replayed,
         skipped=skipped,
         truncated=result.truncated,
         error=result.error,
-        last_seq=max(ckpt_seq, result.last_seq or -1) if (ckpt_seq >= 0 or result.records) else None,
+        last_seq=last_seq if last_seq >= 0 else None,
         duration_s=duration,
     )

@@ -144,6 +144,12 @@ def _segment_paths(directory: Path) -> list[Path]:
     )
 
 
+def _named_first_seq(path: Path) -> int | None:
+    """The first sequence number a segment's name claims (None if unnamed)."""
+    digits = path.name[len(SEGMENT_PREFIX) : -len(SEGMENT_SUFFIX)]
+    return int(digits) if digits.isascii() and digits.isdigit() else None
+
+
 @dataclass
 class SegmentScan:
     """What the reader found in one segment file."""
@@ -159,12 +165,18 @@ class SegmentScan:
 
 @dataclass
 class WalReadResult:
-    """Everything salvaged from a WAL directory, plus damage diagnostics."""
+    """Everything salvaged from a WAL directory, plus damage diagnostics.
+
+    ``segments`` lists only the segments the reader opened;
+    ``unopened`` counts, from segment names, the records in the
+    covered segments it skipped (see :func:`read_wal`'s ``after_seq``).
+    """
 
     records: list[WalRecord] = field(default_factory=list)
     segments: list[SegmentScan] = field(default_factory=list)
     truncated: bool = False
     error: str | None = None
+    unopened: int = 0
 
     @property
     def salvaged(self) -> int:
@@ -175,7 +187,7 @@ class WalReadResult:
         return self.records[-1].seq if self.records else None
 
 
-def read_wal(directory: str | Path) -> WalReadResult:
+def read_wal(directory: str | Path, *, after_seq: int = -1) -> WalReadResult:
     """Read every valid record, stopping cleanly at the first damage.
 
     Records must be densely sequenced across segment boundaries; a gap,
@@ -183,12 +195,26 @@ def read_wal(directory: str | Path) -> WalReadResult:
     stops the read.  Nothing after the first problem is trusted — a
     mid-log hole means later records describe state the replay cannot
     reach — so remaining bytes and segments count as ``truncated``.
+
+    ``after_seq`` is the last sequence number the caller already holds
+    (a checkpoint's).  A leading segment is then left unopened when the
+    next segment's name shows every record in it is ``<= after_seq``;
+    the last segment is always read, and every segment that is opened is
+    checked in full as above.  The first record read must then be
+    ``<= after_seq + 1``, or the read stops as a sequence gap.
     """
     directory = Path(directory)
     result = WalReadResult()
     expected: int | None = None
     paths = _segment_paths(directory)
-    for i, path in enumerate(paths):
+    named = [_named_first_seq(p) for p in paths]
+    start = 0
+    for here, following in zip(named, named[1:]):
+        if here is None or following is None or following > after_seq + 1:
+            break
+        start += 1
+        result.unopened += following - here
+    for path in paths[start:]:
         data = path.read_bytes()
         scan = SegmentScan(path=path, size_bytes=len(data))
         result.segments.append(scan)
@@ -207,6 +233,12 @@ def read_wal(directory: str | Path) -> WalReadResult:
             if expected is not None and record.seq != expected:
                 scan.error = (
                     f"out-of-order sequence: expected {expected}, "
+                    f"found {record.seq}"
+                )
+                break
+            if expected is None and 0 <= after_seq < record.seq - 1:
+                scan.error = (
+                    f"sequence gap: expected at most {after_seq + 1}, "
                     f"found {record.seq}"
                 )
                 break

@@ -91,12 +91,16 @@ class BusRoute:
         self.polyline: Polyline = Polyline.concatenate(
             [seg.polyline for seg in self._segments]
         )
-        # Arc length of each segment's start within the route polyline.
+        # Arc length of each segment's start within the route polyline,
+        # and each segment's (id, start arc, end arc) span in route order.
         self._segment_start_arc: dict[str, float] = {}
+        spans: list[tuple[str, float, float]] = []
         acc = 0.0
         for seg in self._segments:
             self._segment_start_arc[seg.segment_id] = acc
+            spans.append((seg.segment_id, acc, acc + seg.length))
             acc += seg.length
+        self.segment_spans: tuple[tuple[str, float, float], ...] = tuple(spans)
 
         if len(stops) < 2:
             raise RoadNetworkError(f"route {route_id!r} needs at least two stops")

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.build import build_cluster
 from repro.cluster.drill import _compare
 from repro.cluster.plan import ShardPlan
+from repro.elastic import engine as engine_module
 from repro.elastic.engine import ReshardEngine
 from repro.elastic.machine import (
     ABORTED,
@@ -105,6 +107,50 @@ class TestSplitCommit:
         assert router.metrics.counter("reshard.migrations_committed") == 1
         assert not router.reshard_hold_active
         assert router.health()["reshard"]["phase"] == COMMITTED
+
+    def test_catchup_reads_the_source_wal_from_its_watermark(
+        self, city, plan, tmp_path, monkeypatch
+    ):
+        """With 4-record segments, every catch-up round leaves the source
+        segments before its watermark unopened, and the split still
+        matches a twin built on the new plan."""
+        router = build_cluster(city.server, plan)
+        for sid, node in router.nodes.items():
+            node.make_durable(
+                tmp_path / "cluster" / f"shard-{sid:02d}",
+                max_batch=4,
+                max_segment_records=4,
+            )
+        feed(router, city)
+        source_last = router.nodes[1].durable.wal.last_durable_seq
+        engine = ReshardEngine(
+            router,
+            ShardPlan.from_assignment(SPLIT, city.routes),
+            tmp_path / "journal",
+            data_root=tmp_path / "cluster",
+        )
+        reads = []
+        read_wal = engine_module.read_wal
+
+        def spy(directory, **kwargs):
+            result = read_wal(directory, **kwargs)
+            reads.append((kwargs.get("after_seq", -1), result))
+            return result
+
+        monkeypatch.setattr(engine_module, "read_wal", spy)
+        assert engine.run(now=city.now) == COMMITTED
+        monkeypatch.undo()
+
+        assert len(reads) == 2  # catch-up, then the cutover residue
+        for after_seq, result in reads:
+            # Only the last segment, which holds ``source_last``, is read.
+            assert after_seq == source_last >= 8
+            (opened,) = result.segments
+            assert opened.first_seq <= source_last == opened.last_seq
+            assert result.unopened == opened.first_seq > 0
+        assert engine.journal.catchup_watermark == source_last
+        twin = twin_on(city, SPLIT, tmp_path / "twin")
+        assert _compare(city, router, twin) == []
 
     def test_queries_keep_answering_after_the_move(self, city, plan, tmp_path):
         router, _, engine = split_setup(city, plan, tmp_path)

@@ -6,11 +6,14 @@ smallest synthetic city whose buses cross segment boundaries, so a
 durable replay exercises sessions, trajectories *and* the live
 travel-time store; ``server_digest`` reduces a server to the comparable
 slice of its state (what :meth:`WiLocatorServer.ingest` mutates), used by
-the crash-recovery parity tests.
+the crash-recovery parity tests; ``crash_dir_at`` rebuilds the disk
+state a crash at one record boundary leaves behind.
 """
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
 from typing import Any
 
 import pytest
@@ -18,6 +21,8 @@ import pytest
 from repro.core.server.persistence import store_to_dict
 from repro.core.server.server import WiLocatorServer
 from repro.eval.synth_city import SynthCity, build_linear_city
+from repro.pipeline.checkpoint import checkpoint_paths
+from repro.pipeline.replay import CHECKPOINT_SUBDIR, WAL_SUBDIR
 from repro.radio.environment import Reading
 from repro.sensing.reports import ScanReport
 
@@ -98,3 +103,25 @@ def query_digest(city: SynthCity) -> dict[str, Any]:
             s.session_key for s in city.server.active_sessions(now=now)
         ),
     }
+
+
+def crash_dir_at(tmp_path: Path, data_dir: Path, cut_seq: int) -> Path:
+    """Disk state after a crash once seq <= ``cut_seq`` was durable."""
+    wal_src = data_dir / WAL_SUBDIR
+    wal_dst = tmp_path / WAL_SUBDIR
+    wal_dst.mkdir(parents=True)
+    for seg in sorted(wal_src.iterdir()):
+        lines = seg.read_bytes().splitlines(keepends=True)
+        first_seq = int(seg.name[len("wal-") : -len(".jsonl")])
+        keep = max(0, cut_seq - first_seq + 1)
+        if keep == 0:
+            continue
+        (wal_dst / seg.name).write_bytes(b"".join(lines[:keep]))
+    ckpt_src = data_dir / CHECKPOINT_SUBDIR
+    ckpt_dst = tmp_path / CHECKPOINT_SUBDIR
+    ckpt_dst.mkdir(parents=True)
+    for p in checkpoint_paths(ckpt_src):
+        seq = int(p.name[len("ckpt-") : -len(".json")])
+        if seq <= cut_seq:  # a later checkpoint cannot survive the crash
+            shutil.copy(p, ckpt_dst / p.name)
+    return tmp_path

@@ -12,15 +12,13 @@ parity everywhere.
 
 from __future__ import annotations
 
-import shutil
-
 import pytest
 
 from repro.pipeline.checkpoint import checkpoint_paths
 from repro.pipeline.durable import DurableServer
 from repro.pipeline.replay import CHECKPOINT_SUBDIR, WAL_SUBDIR, recover
 from repro.pipeline.wal import read_wal
-from tests.pipeline.conftest import query_digest, server_digest
+from tests.pipeline.conftest import crash_dir_at, query_digest, server_digest
 
 pytestmark = pytest.mark.durability
 
@@ -47,28 +45,6 @@ def durable_run(tmp_path_factory):
     return city, data_dir
 
 
-def _crash_dir_at(tmp_path, data_dir, cut_seq):
-    """Disk state after a crash once seq <= ``cut_seq`` was durable."""
-    wal_src = data_dir / WAL_SUBDIR
-    wal_dst = tmp_path / WAL_SUBDIR
-    wal_dst.mkdir(parents=True)
-    for seg in sorted(wal_src.iterdir()):
-        lines = seg.read_bytes().splitlines(keepends=True)
-        first_seq = int(seg.name[len("wal-") : -len(".jsonl")])
-        keep = max(0, cut_seq - first_seq + 1)
-        if keep == 0:
-            continue
-        (wal_dst / seg.name).write_bytes(b"".join(lines[:keep]))
-    ckpt_src = data_dir / CHECKPOINT_SUBDIR
-    ckpt_dst = tmp_path / CHECKPOINT_SUBDIR
-    ckpt_dst.mkdir(parents=True)
-    for p in checkpoint_paths(ckpt_src):
-        seq = int(p.name[len("ckpt-") : -len(".json")])
-        if seq <= cut_seq:  # a later checkpoint cannot survive the crash
-            shutil.copy(p, ckpt_dst / p.name)
-    return tmp_path
-
-
 def test_run_layout(durable_run):
     city, data_dir = durable_run
     result = read_wal(data_dir / WAL_SUBDIR)
@@ -89,7 +65,7 @@ def test_batching_reduced_flushes(durable_run):
 @pytest.mark.parametrize("cut_seq", range(15, 24))
 def test_parity_at_every_final_segment_boundary(durable_run, tmp_path, cut_seq):
     city, data_dir = durable_run
-    crash_dir = _crash_dir_at(tmp_path, data_dir, cut_seq)
+    crash_dir = crash_dir_at(tmp_path, data_dir, cut_seq)
 
     recovered = city.fresh_twin()
     report = recover(recovered.server, crash_dir)
@@ -109,7 +85,7 @@ def test_parity_at_every_final_segment_boundary(durable_run, tmp_path, cut_seq):
 def test_recovered_server_keeps_ingesting(durable_run, tmp_path):
     """Recovery is not an endpoint: the rebuilt server accepts the tail."""
     city, data_dir = durable_run
-    crash_dir = _crash_dir_at(tmp_path, data_dir, 17)
+    crash_dir = crash_dir_at(tmp_path, data_dir, 17)
 
     recovered = city.fresh_twin()
     durable = DurableServer(
@@ -133,7 +109,7 @@ def test_recovered_health_reads_the_restored_counters(durable_run, tmp_path):
     recovery, agreeing with the counters beside them (not restarting at 0)."""
     city, data_dir = durable_run
     recovered = city.fresh_twin()
-    recover(recovered.server, _crash_dir_at(tmp_path, data_dir, 17))
+    recover(recovered.server, crash_dir_at(tmp_path, data_dir, 17))
     m = recovered.server.metrics
     health = recovered.server.health()
     assert m.counter("guard.admitted") > 0

@@ -251,6 +251,69 @@ def test_writer_refuses_mid_log_corruption(tmp_path):
         WalWriter(tmp_path, fsync=False)
 
 
+# -- reading after a checkpoint ------------------------------------------------
+
+
+def test_after_seq_leaves_covered_segments_unopened(tmp_path):
+    _write_segments(tmp_path, 10, max_segment_records=2)  # 0, 2, 4, 6, 8
+    full = read_wal(tmp_path)
+    for after_seq in range(-1, 12):
+        result = read_wal(tmp_path, after_seq=after_seq)
+        assert not result.truncated and result.error is None
+        # Segment k (first seq 2k) is opened unless segment k+1 starts
+        # at or before after_seq + 1; the last one is always opened.
+        opened_from = min(max(0, (after_seq + 1) // 2 * 2), 8)
+        assert [s.first_seq for s in result.segments] == list(
+            range(opened_from, 10, 2)
+        )
+        assert result.unopened == opened_from
+        assert result.records == full.records[opened_from:]
+
+
+def test_after_seq_reads_the_last_segment_even_when_covered(tmp_path):
+    _write_segments(tmp_path, 5, max_segment_records=2)  # 0, 2, 4
+    result = read_wal(tmp_path, after_seq=100)
+    assert [s.first_seq for s in result.segments] == [4]
+    assert result.unopened == 4 and result.last_seq == 4
+
+
+def test_after_seq_first_record_past_the_next_seq_is_a_gap(tmp_path):
+    _write_segments(tmp_path, 6, max_segment_records=2)  # 0, 2, 4
+    for name in ("wal-0000000000.jsonl", "wal-0000000002.jsonl"):
+        (tmp_path / name).unlink()
+    assert read_wal(tmp_path, after_seq=3).salvaged == 2
+    result = read_wal(tmp_path, after_seq=2)
+    assert result.truncated and result.salvaged == 0
+    assert "sequence gap: expected at most 3, found 4" in result.error
+    # Without a caller's sequence the first record may start anywhere.
+    assert read_wal(tmp_path).salvaged == 2
+
+
+def test_after_seq_checks_every_opened_segment_in_full(tmp_path):
+    _write_segments(tmp_path, 6, max_segment_records=3)  # 0, 3
+    first = tmp_path / "wal-0000000000.jsonl"
+    lines = first.read_bytes().splitlines(keepends=True)
+    first.write_bytes(lines[0] + b"garbage\n" + b"".join(lines[2:]))
+    # The damage is covered but shares its segment with seq 2, the first
+    # record past the caller's, so the segment is read and the read stops.
+    result = read_wal(tmp_path, after_seq=1)
+    assert result.truncated and result.salvaged == 1
+    # Once the whole segment is covered it is not opened at all.
+    result = read_wal(tmp_path, after_seq=2)
+    assert not result.truncated and result.salvaged == 3
+
+
+def test_after_seq_opens_segments_with_unparsable_names(tmp_path):
+    _write_segments(tmp_path, 4, max_segment_records=2)  # 0, 2
+    (tmp_path / "wal-0000000002.jsonl").rename(tmp_path / "wal-x.jsonl")
+    result = read_wal(tmp_path, after_seq=3)
+    assert [s.path.name for s in result.segments] == [
+        "wal-0000000000.jsonl",
+        "wal-x.jsonl",
+    ]
+    assert result.unopened == 0 and result.salvaged == 4
+
+
 # -- wal_stat -----------------------------------------------------------------
 
 

@@ -20,6 +20,15 @@ class TestRouteGeometry:
         assert route.segment_start_arc("s0") == 0.0
         assert route.segment_start_arc("s2") == pytest.approx(500.0)
 
+    def test_segment_spans(self, route):
+        # Bit-equal to the start arc plus the segment length, in route order.
+        assert route.segment_spans == tuple(
+            (seg.segment_id, route.segment_start_arc(seg.segment_id),
+             route.segment_start_arc(seg.segment_id) + seg.length)
+            for seg in route.segments
+        )
+        assert [sid for sid, _, _ in route.segment_spans] == ["s0", "s1", "s2", "s3"]
+
     def test_segment_start_arc_unknown(self, route):
         with pytest.raises(RoadNetworkError):
             route.segment_start_arc("zz")
