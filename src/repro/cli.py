@@ -302,7 +302,7 @@ def run_checkpoint_cmd(args) -> None:
         max_segment_records=256,
     ) as durable:
         recovery = durable.last_recovery
-        if recovery is not None and recovery.last_seq is not None:
+        if recovery.last_seq is not None:
             print(f"  resumed from existing state (seq {recovery.last_seq})")
         durable.submit_many(city.reports)
     counters = city.server.metrics.counters

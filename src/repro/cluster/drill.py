@@ -190,11 +190,8 @@ def run_failover_drill(data_root: str | Path, **city_kwargs) -> FailoverResult:
                     data_root / f"shard-{_VICTIM:02d}",
                     max_batch=4,
                     checkpoint_every=0,
-                    recover=True,
                 )
                 recovery = durable.last_recovery
-                if recovery is None:  # pragma: no cover - recover=True set
-                    raise RuntimeError("recovery did not run")
                 durable_count = (
                     recovery.last_seq + 1
                     if recovery.last_seq is not None

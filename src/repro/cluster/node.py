@@ -139,8 +139,8 @@ class ShardNode:
         """Wrap the node's core server in a per-shard :class:`DurableServer`.
 
         Must be called on a node built over a plain core server; the
-        traversal tap is already installed, so a ``recover=True``
-        construction replays the WAL suffix *through* it and the outbox
+        traversal tap is already installed, so the construction's
+        recovery replays the WAL suffix *through* it and the outbox
         ends up holding the post-checkpoint deltas under their original
         sequence numbers.
         """

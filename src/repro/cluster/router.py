@@ -22,17 +22,22 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import ClassVar, Iterable, Mapping, Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.arrival.predictor import ArrivalPrediction
 from repro.core.positioning.trajectory import TrajectoryPoint
 from repro.core.server.api import (
+    DEPARTURE_ORDER,
+    TRIP_ORDER,
     DepartureEntry,
     LivePositions,
     RiderAPI,
     TripOption,
     check_query,
 )
+from repro.core.server.backend import observation_ack
 from repro.core.server.metrics import ServerMetrics
 from repro.core.server.server import UnknownStopError
 from repro.core.server.session import BusSession
@@ -60,13 +65,7 @@ class ClusterRouter:
     #: a write outside these methods is a side door around the hold.
     __shared_state__: ClassVar[dict[str, tuple[str, ...]]] = {
         "_held_routes": ("begin_reshard_hold", "end_reshard_hold"),
-        "_parked": (
-            "begin_reshard_hold",
-            "end_reshard_hold",
-            "ingest",
-            "ingest_many",
-            "ingest_observation",
-        ),
+        "_parked": ("begin_reshard_hold", "end_reshard_hold", "_park"),
     }
 
     def __init__(
@@ -206,6 +205,15 @@ class ClusterRouter:
         self._park_sink = None
         return parked
 
+    def _park(self, report: ScanReport) -> bool:
+        """Accept a held route's report: queue it, double-write it to the
+        sink, count it (``reshard.parked_reports``)."""
+        self._parked.append(report)
+        if self._park_sink is not None:
+            self._park_sink(report)
+        self.metrics.incr("reshard.parked_reports")
+        return True
+
     # -- error isolation -----------------------------------------------------
 
     def _guarded(self, shard_id: int, fn, *args, **kwargs):
@@ -224,6 +232,31 @@ class ClusterRouter:
             return _SKIPPED
         self.breakers[shard_id].record_success()
         return result
+
+    def _scatter(self, call, *, per_stop: bool = False) -> Iterator:
+        """Ask every live shard ``call(shard_id)`` behind its breaker and
+        yield the answers of those not skipped, lazily and in shard-id
+        order.  With ``per_stop`` a shard raising
+        :class:`UnknownStopError` has no route at the stop and is passed
+        over; otherwise the caller bug propagates."""
+        for sid in self.live_shard_ids():
+            try:
+                got = self._guarded(sid, call, sid)
+            except UnknownStopError:
+                if not per_stop:
+                    raise
+                continue
+            if got is not _SKIPPED:
+                yield got
+
+    def _session_call(self, session_key: str, method: str, *args, **kwargs):
+        """``method`` of the core tracking the session, behind its shard's
+        breaker; None for an unseen session, ``_SKIPPED`` on degrade."""
+        shard_id = self.shard_of_session(session_key)
+        if shard_id is None:
+            return None
+        call = getattr(self.nodes[shard_id].core, method)
+        return self._guarded(shard_id, call, session_key, *args, **kwargs)
 
     # -- driver ingest -------------------------------------------------------
 
@@ -249,11 +282,7 @@ class ClusterRouter:
         means the caller never sees the migration.
         """
         if report.route_id in self._held_routes:
-            self._parked.append(report)
-            if self._park_sink is not None:
-                self._park_sink(report)
-            self.metrics.incr("reshard.parked_reports")
-            return True
+            return self._park(report)
         shard_id = self.plan.shard_of(report.route_id)
         if shard_id in self._down:
             self.metrics.incr("cluster.ingest_rejected")
@@ -267,47 +296,9 @@ class ClusterRouter:
             self._session_shard[report.session_key] = shard_id
         return bool(accepted)
 
-    def ingest_many(
-        self, reports: Iterable[ScanReport], *, admitted: bool = False
-    ) -> int:
-        """Route a report stream in timestamp order; returns admitted count.
-
-        ``admitted=True`` marks a stream that already passed admission
-        control *and* durability elsewhere (a recovery replay being
-        re-routed, a committed batch handed over during resharding): the
-        reports apply straight through each shard core's
-        ``ingest_admitted`` — running admission again would corrupt
-        duplicate-suppression state, exactly as on the single server.
-        The keyword existed only on :class:`WiLocatorServer` before this
-        method grew it; the :class:`~repro.core.server.backend.ServingBackend`
-        protocol requires it everywhere.
-        """
-        if not admitted:
-            return sum(
-                1 for r in sorted(reports, key=lambda r: r.t) if self.ingest(r)
-            )
-        routed = 0
-        for report in sorted(reports, key=lambda r: r.t):
-            if report.route_id in self._held_routes:
-                self._parked.append(report)
-                if self._park_sink is not None:
-                    self._park_sink(report)
-                self.metrics.incr("reshard.parked_reports")
-                continue
-            shard_id = self.plan.shard_of(report.route_id)
-            if shard_id in self._down:
-                self.metrics.incr("cluster.ingest_rejected")
-                continue
-            got = self._guarded(
-                shard_id, self.nodes[shard_id].core.ingest_admitted, report
-            )
-            if got is _SKIPPED:
-                self.metrics.incr("cluster.ingest_rejected")
-                continue
-            self.metrics.incr("cluster.ingest_routed")
-            self._session_shard[report.session_key] = shard_id
-            routed += 1
-        return routed
+    def ingest_many(self, reports: Iterable[ScanReport]) -> int:
+        """Route a report stream in timestamp order; returns admitted count."""
+        return sum(1 for r in sorted(reports, key=lambda r: r.t) if self.ingest(r))
 
     def ingest_observation(self, obs: Observation) -> bool:
         """Route one multi-sensor observation to its route's shard.
@@ -324,12 +315,7 @@ class ClusterRouter:
         (``fusion.route_rejected``).
         """
         if isinstance(obs, WifiObservation) and obs.route_id in self._held_routes:
-            report = obs.to_report()
-            self._parked.append(report)
-            if self._park_sink is not None:
-                self._park_sink(report)
-            self.metrics.incr("reshard.parked_reports")
-            return True
+            return self._park(obs.to_report())
         shard_id = self.plan.shard_of(obs.route_id)
         if shard_id in self._down:
             self.metrics.incr("fusion.route_rejected")
@@ -347,35 +333,16 @@ class ClusterRouter:
 
     def ingest_observations(self, observations: Iterable[Observation]) -> dict[str, int]:
         """Route an observation batch; same counter-delta ack as every backend."""
-        submitted = accepted = 0
-        for obs in sorted(observations, key=lambda o: o.t):
-            submitted += 1
-            if self.ingest_observation(obs):
-                accepted += 1
-        return {
-            "submitted": submitted,
-            "accepted": accepted,
-            "rejected": submitted - accepted,
-        }
+        return observation_ack(self.ingest_observation, observations)
 
     def fused_position(self, session_key: str, *, now: float) -> TrajectoryPoint | None:
         """Fusion-backed position from the shard tracking the session."""
-        shard_id = self.shard_of_session(session_key)
-        if shard_id is None or shard_id in self._down:
-            return None
-        got = self._guarded(
-            shard_id, self.nodes[shard_id].core.fused_position, session_key, now=now
-        )
+        got = self._session_call(session_key, "fused_position", now=now)
         return None if got is _SKIPPED else got
 
     def flush(self) -> int:
         """Flush every live shard's batched reports."""
-        return sum(
-            flushed
-            for sid in self.live_shard_ids()
-            if (flushed := self._guarded(sid, self.nodes[sid].flush))
-            is not _SKIPPED
-        )
+        return sum(self._scatter(lambda sid: self.nodes[sid].flush()))
 
     def pump(self, *, now: float | None = None) -> int:
         """One replication round over the live shards."""
@@ -394,13 +361,10 @@ class ClusterRouter:
         """
         best_sid: int | None = None
         best_sim = 0.0
-        for sid in self.live_shard_ids():
-            decision = self._guarded(
-                sid, self.nodes[sid].core.rider_candidate, report
-            )
-            if decision is _SKIPPED or decision.session_key is None:
-                continue
-            if decision.similarity > best_sim:
+        for sid, decision in self._scatter(
+            lambda sid: (sid, self.nodes[sid].core.rider_candidate(report))
+        ):
+            if decision.session_key is not None and decision.similarity > best_sim:
                 best_sid, best_sim = sid, decision.similarity
         if best_sid is None:
             self.metrics.incr("cluster.rider_unmatched")
@@ -423,11 +387,7 @@ class ClusterRouter:
 
     def _stop_known(self, stop_id: str) -> bool:
         """Whether any reachable shard's route set serves the stop."""
-        for sid in self.live_shard_ids():
-            got = self._guarded(sid, self._rider_api(sid).stops_named, stop_id)
-            if got is not _SKIPPED and got:
-                return True
-        return False
+        return any(self._scatter(lambda sid: self._rider_api(sid).stops_named(stop_id)))
 
     def departures(
         self, stop_id: str, *, now: float, max_entries: int = 10
@@ -447,21 +407,17 @@ class ClusterRouter:
             check_query(now, max_entries)
             if not self._stop_known(stop_id):
                 raise UnknownStopError(f"no stop {stop_id!r} on any route")
-            entries: list[DepartureEntry] = []
-            for sid in self.live_shard_ids():
-                try:
-                    got = self._guarded(
-                        sid,
-                        self._rider_api(sid).departures,
-                        stop_id,
-                        now=now,
-                        max_entries=max_entries,
+            entries = sorted(
+                chain.from_iterable(
+                    self._scatter(
+                        lambda sid: self._rider_api(sid).departures(
+                            stop_id, now=now, max_entries=max_entries
+                        ),
+                        per_stop=True,
                     )
-                except UnknownStopError:
-                    continue  # this shard's routes do not serve the stop
-                if got is not _SKIPPED:
-                    entries.extend(got)
-            entries.sort(key=lambda e: (e.eta_t, e.route_id, e.session_key))
+                ),
+                key=DEPARTURE_ORDER,
+            )
             return entries[:max_entries]
         finally:
             self.metrics.observe("query", time.perf_counter() - t0)
@@ -485,24 +441,17 @@ class ClusterRouter:
                 raise UnknownStopError(f"no stop {from_stop_id!r} on any route")
             if not self._stop_known(to_stop_id):
                 raise UnknownStopError(f"no stop {to_stop_id!r} on any route")
-            options: list[TripOption] = []
-            for sid in self.live_shard_ids():
-                try:
-                    got = self._guarded(
-                        sid,
-                        self._rider_api(sid).plan_trip,
-                        from_stop_id,
-                        to_stop_id,
-                        now=now,
+            return sorted(
+                chain.from_iterable(
+                    self._scatter(
+                        lambda sid: self._rider_api(sid).plan_trip(
+                            from_stop_id, to_stop_id, now=now
+                        ),
+                        per_stop=True,
                     )
-                except UnknownStopError:
-                    continue  # shard serves at most one of the stops
-                if got is not _SKIPPED:
-                    options.extend(got)
-            options.sort(
-                key=lambda o: (o.alight_t, o.board_t, o.route_id, o.session_key)
+                ),
+                key=TRIP_ORDER,
             )
-            return options
         finally:
             self.metrics.observe("query", time.perf_counter() - t0)
 
@@ -512,14 +461,9 @@ class ClusterRouter:
         self.metrics.incr("query.live_positions")
         try:
             check_query(now)
-            parts = []
-            for sid in self.live_shard_ids():
-                got = self._guarded(
-                    sid, self._rider_api(sid).live_positions, now=now
-                )
-                if got is not _SKIPPED:
-                    parts.append(got)
-            return LivePositions.merge(parts)
+            return LivePositions.merge(
+                self._scatter(lambda sid: self._rider_api(sid).live_positions(now=now))
+            )
         finally:
             self.metrics.observe("query", time.perf_counter() - t0)
 
@@ -529,58 +473,43 @@ class ClusterRouter:
         self, session_key: str, stop_id: str
     ) -> ArrivalPrediction | None:
         """The session's shard answers; a downed shard degrades to None."""
-        shard_id = self.shard_of_session(session_key)
-        if shard_id is None:
-            return None
-        pred = self._guarded(
-            shard_id, self.nodes[shard_id].core.predict_arrival,
-            session_key, stop_id,
-        )
+        pred = self._session_call(session_key, "predict_arrival", stop_id)
         if pred is _SKIPPED:
             self.metrics.incr("cluster.predict_degraded")
             return None
         return pred
 
     def current_position(self, session_key: str) -> TrajectoryPoint | None:
-        shard_id = self.shard_of_session(session_key)
-        if shard_id is None:
-            return None
-        fix = self._guarded(
-            shard_id, self.nodes[shard_id].core.current_position, session_key
-        )
+        fix = self._session_call(session_key, "current_position")
         return None if fix is _SKIPPED else fix
 
     def active_sessions(
         self, *, now: float, timeout_s: float = 300.0
     ) -> list[BusSession]:
         """All live shards' active sessions, merged by session key."""
-        merged: list[BusSession] = []
-        for sid in self.live_shard_ids():
-            got = self._guarded(
-                sid,
-                self.nodes[sid].core.active_sessions,
-                now=now,
-                timeout_s=timeout_s,
-            )
-            if got is not _SKIPPED:
-                merged.extend(got)
-        merged.sort(key=lambda s: s.session_key)
-        return merged
+        return sorted(
+            chain.from_iterable(
+                self._scatter(
+                    lambda sid: self.nodes[sid].core.active_sessions(
+                        now=now, timeout_s=timeout_s
+                    )
+                )
+            ),
+            key=attrgetter("session_key"),
+        )
 
     def detect_anomalies(
         self, now: float, *, lookback_s: float = 3600.0
     ) -> list[Anomaly]:
-        found: list[Anomaly] = []
-        for sid in self.live_shard_ids():
-            got = self._guarded(
-                sid,
-                self.nodes[sid].core.detect_anomalies,
-                now,
-                lookback_s=lookback_s,
+        return merge_anomalies(
+            chain.from_iterable(
+                self._scatter(
+                    lambda sid: self.nodes[sid].core.detect_anomalies(
+                        now, lookback_s=lookback_s
+                    )
+                )
             )
-            if got is not _SKIPPED:
-                found.extend(got)
-        return merge_anomalies(found)
+        )
 
     def traffic_map(
         self,
@@ -599,16 +528,11 @@ class ClusterRouter:
         """
         merged = TrafficMap(t=now)
         anomalies: list[Anomaly] = []
-        for sid in self.live_shard_ids():
-            got = self._guarded(
-                sid,
-                self.nodes[sid].core.traffic_map,
-                now,
-                segment_ids,
-                with_anomalies=with_anomalies,
+        for got in self._scatter(
+            lambda sid: self.nodes[sid].core.traffic_map(
+                now, segment_ids, with_anomalies=with_anomalies
             )
-            if got is _SKIPPED:
-                continue
+        ):
             anomalies.extend(got.anomalies)
             for seg_id, state in got.states.items():
                 have = merged.states.get(seg_id)

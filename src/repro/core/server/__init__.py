@@ -15,8 +15,6 @@ from repro.core.server.metrics import (
     format_snapshot,
 )
 from repro.core.server.persistence import (
-    load_training_state,
-    save_training_state,
     slots_from_dict,
     slots_to_dict,
     store_from_dict,
@@ -44,8 +42,6 @@ __all__ = [
     "RiderAPI",
     "LivePosition",
     "UnknownStopError",
-    "save_training_state",
-    "load_training_state",
     "store_to_dict",
     "store_from_dict",
     "slots_to_dict",

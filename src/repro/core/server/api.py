@@ -84,6 +84,8 @@ from repro.roadnet.index import IndexedStop, UnknownStopError
 from repro.roadnet.route import BusRoute, BusStop
 
 __all__ = [
+    "DEPARTURE_ORDER",
+    "TRIP_ORDER",
     "DepartureEntry",
     "TripOption",
     "LivePosition",
@@ -169,6 +171,13 @@ class PositionRow:
 
 
 _KEY = attrgetter("key")
+
+#: The merge orders of the rider answers, shared by :class:`RiderAPI`
+#: and the cluster router so a sharded board sorts as a single node's:
+#: departures by ETA, trip options by arrival then boarding, ties by
+#: route id then session key.
+DEPARTURE_ORDER = attrgetter("eta_t", "route_id", "session_key")
+TRIP_ORDER = attrgetter("alight_t", "board_t", "route_id", "session_key")
 
 
 class LivePositions(Mapping[str, LivePosition]):
@@ -537,6 +546,7 @@ class RiderAPI:
             check_query(now, max_entries)
             targets = self._routes(self.index.require_stop(stop_id))
             board = self._board_at(now)
+            # (eta, route, key): the fields of DEPARTURE_ORDER.
             heads: list[tuple[float, str, str]] = []
             folded = 0
             for route_id, entry in targets.items():
@@ -617,9 +627,7 @@ class RiderAPI:
                             alight_t=there.pred.t_arrival,
                         )
                     )
-            options.sort(
-                key=lambda o: (o.alight_t, o.board_t, o.route_id, o.session_key)
-            )
+            options.sort(key=TRIP_ORDER)
             _count(metrics, "query.traversals", folded)
             _count(metrics, "predict.reused", reused)
             return options

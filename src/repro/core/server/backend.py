@@ -4,8 +4,7 @@ Three backends grew the same de-facto surface across PRs 1–4 — the plain
 in-memory :class:`~repro.core.server.server.WiLocatorServer`, the
 WAL-backed :class:`~repro.pipeline.durable.DurableServer`, and the
 sharded :class:`~repro.cluster.router.ClusterRouter` — but with naming
-and signature drift (``ingest_many`` grew an admitted-routing kwarg on
-the single server only, ``health()`` payloads disagreed on their common
+and signature drift (``health()`` payloads disagreed on their common
 keys, the plain server had no ``flush``).  The serving front door
 (:mod:`repro.serving`) must treat all three as drop-in interchangeable
 behind the same wire API, so this module pins the shared surface down as
@@ -16,11 +15,11 @@ implementations:
   synchronously (single server), an admitted/parked verdict when it
   routes (cluster), or the fix after a synchronous WAL commit (durable)
   — the union return type is the honest intersection;
-* ``ingest_many`` takes the keyword-only ``admitted`` flag everywhere
-  (a stream that already passed admission control must never be
-  re-admitted — replay and batch-apply paths corrupt duplicate
-  suppression otherwise) and returns either the per-report fixes or an
-  accepted count;
+* ``ingest_many`` returns either the per-report fixes or an accepted
+  count.  Replaying a stream that already passed admission is not part
+  of the protocol: the plain server's ``ingest_many(admitted=True)`` is
+  the one replay entry point (WAL recovery, the resharding engine's
+  suffix replay, both on a bare :class:`WiLocatorServer`);
 * ``flush`` exists everywhere (a plain server simply has nothing
   buffered) so the front door can force batched ingest visible without
   isinstance dispatch;
@@ -39,7 +38,7 @@ mypy checks the full signatures structurally (see
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.core.arrival.predictor import ArrivalPrediction
 from repro.core.positioning.trajectory import TrajectoryPoint
@@ -48,7 +47,7 @@ from repro.core.traffic.map import TrafficMap
 from repro.fusion.observations import Observation
 from repro.sensing.reports import ScanReport
 
-__all__ = ["ServingBackend", "BACKEND_METHODS"]
+__all__ = ["ServingBackend", "BACKEND_METHODS", "observation_ack"]
 
 #: The method names the protocol pins down (used by conformance tests).
 BACKEND_METHODS: tuple[str, ...] = (
@@ -67,6 +66,24 @@ BACKEND_METHODS: tuple[str, ...] = (
 )
 
 
+def observation_ack(
+    ingest_observation: Callable[[Observation], object],
+    observations: Iterable[Observation],
+) -> dict[str, int]:
+    """Feed a batch to ``ingest_observation`` in timestamp order and
+    build the ack :meth:`ServingBackend.ingest_observations` returns."""
+    submitted = accepted = 0
+    for obs in sorted(observations, key=lambda o: o.t):
+        submitted += 1
+        if ingest_observation(obs):
+            accepted += 1
+    return {
+        "submitted": submitted,
+        "accepted": accepted,
+        "rejected": submitted - accepted,
+    }
+
+
 @runtime_checkable
 class ServingBackend(Protocol):
     """What a deployment must serve to sit behind the HTTP front door."""
@@ -81,14 +98,12 @@ class ServingBackend(Protocol):
         ...
 
     def ingest_many(
-        self, reports: Iterable[ScanReport], *, admitted: bool = False
+        self, reports: Iterable[ScanReport]
     ) -> Sequence[TrajectoryPoint | None] | int:
         """Accept a report stream in timestamp order.
 
-        ``admitted=True`` marks a stream that already passed admission
-        control (WAL replay, committed-batch apply): the backend must
-        not run admission a second time.  Returns the per-report fixes
-        (single server) or the accepted count (durable, cluster).
+        Returns the per-report fixes (single server) or the accepted
+        count (durable, cluster).
         """
         ...
 

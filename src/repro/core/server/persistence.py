@@ -2,7 +2,9 @@
 
 The offline phase (historical travel times, slot scheme, anomaly
 thresholds) is expensive to recompute; a production server snapshots it
-between restarts.  Plain JSON, same spirit as the roadnet / AP databases.
+between restarts (:mod:`repro.lifecycle.model` publishes the history
+and slot scheme as one model payload built from these dicts).  Plain
+JSON, same spirit as the roadnet / AP databases.
 
 Two durability rules, shared with the checkpoint files of
 :mod:`repro.pipeline.checkpoint`:
@@ -17,7 +19,6 @@ Two durability rules, shared with the checkpoint files of
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Any, Mapping
@@ -97,28 +98,3 @@ def slots_from_dict(data: dict[str, Any]) -> SlotScheme:
     check_version(data, kind="slot scheme")
     return SlotScheme(tuple(float(b) for b in data["boundaries"]))
 
-
-def save_training_state(
-    path: str | Path,
-    history: TravelTimeStore,
-    slots: SlotScheme | None = None,
-) -> None:
-    """Snapshot the trained state to one JSON file (atomically)."""
-    payload: dict[str, Any] = {
-        "version": FORMAT_VERSION,
-        "history": store_to_dict(history),
-    }
-    if slots is not None:
-        payload["slots"] = slots_to_dict(slots)
-    atomic_write_text(path, json.dumps(payload))
-
-
-def load_training_state(
-    path: str | Path,
-) -> tuple[TravelTimeStore, SlotScheme | None]:
-    """Restore a snapshot written by :func:`save_training_state`."""
-    data = json.loads(Path(path).read_text())
-    check_version(data, kind="training snapshot")
-    history = store_from_dict(data["history"])
-    slots = slots_from_dict(data["slots"]) if "slots" in data else None
-    return history, slots

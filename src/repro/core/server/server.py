@@ -29,6 +29,7 @@ from repro.core.arrival.seasonal import SlotScheme
 from repro.core.positioning.locator import SVDPositioner
 from repro.core.positioning.tracker import BusTracker
 from repro.core.positioning.trajectory import TrajectoryPoint
+from repro.core.server.backend import observation_ack
 from repro.core.server.metrics import ServerMetrics
 from repro.core.server.session import BusSession
 from repro.core.svd.road_svd import RoadSVD
@@ -252,8 +253,8 @@ class WiLocatorServer:
         With ``admitted=True`` every report routes through
         :meth:`ingest_admitted` instead: batch callers whose stream
         already passed admission control (the durable pipeline's WAL
-        replay, a cluster :class:`ShardNode` applying a committed batch)
-        must not run it a second time — re-admitting would corrupt
+        replay, the resharding engine's suffix replay) must not run it a
+        second time — re-admitting would corrupt
         duplicate-suppression state and double the admission counters.
         """
         apply = self.ingest_admitted if admitted else self.ingest
@@ -346,16 +347,7 @@ class WiLocatorServer:
         Returns the counter-delta ack every backend shares:
         ``{"submitted", "accepted", "rejected"}``.
         """
-        submitted = accepted = 0
-        for obs in sorted(observations, key=lambda o: o.t):
-            submitted += 1
-            if self.ingest_observation(obs):
-                accepted += 1
-        return {
-            "submitted": submitted,
-            "accepted": accepted,
-            "rejected": submitted - accepted,
-        }
+        return observation_ack(self.ingest_observation, observations)
 
     def fused_position(self, session_key: str, *, now: float) -> TrajectoryPoint | None:
         """Best current position, falling back to fusion when WiFi is stale.

@@ -455,7 +455,6 @@ class ReshardEngine:
         for rid in self.moved_routes:
             target_core.routes[rid] = source_core.routes[rid]
             target_core.svds[rid] = source_core.svds[rid]
-            target_core.fusion.add_route(source_core.routes[rid])
         new_segments = _own_segments(target_core) - pre_own
         history = source_core.predictor.history
         for seg_id in sorted(set(history.segment_ids()) & new_segments):
@@ -726,7 +725,6 @@ class ReshardEngine:
             node.make_durable(
                 self._target_dir,
                 fs=self.target_fs,
-                recover=True,
                 **self.durable_kwargs,
             )
             self.target_node = node

@@ -171,7 +171,10 @@ class FusionOrchestrator:
         #: owning server passes its ServerMetrics so fusion.* counters land
         #: beside ingest.* (and health reads ``fusion.fused_fixes`` back).
         self.metrics = metrics if metrics is not None else LocalCounters()
-        self._routes: dict[str, BusRoute] = dict(routes or {})
+        #: Held by reference: the owning server's route map, so a route
+        #: the server gains or drops (resharding) is known or unknown
+        #: here too.
+        self._routes: Mapping[str, BusRoute] = routes if routes is not None else {}
         self._geometry: dict[str, RouteGeometry] = {}
         self._beacon_arcs: dict[str, dict[str, float]] = {}
         self._cell_spans: dict[str, dict[str, tuple[float, float]]] = {}
@@ -183,9 +186,6 @@ class FusionOrchestrator:
         self._rejected: dict[str, int] = {src: 0 for src in OBSERVATION_SOURCES}
 
     # -- survey / registry ---------------------------------------------------
-
-    def add_route(self, route: BusRoute) -> None:
-        self._routes[route.route_id] = route
 
     def register_beacons(self, route_id: str, arcs: Mapping[str, float]) -> None:
         """Survey BLE beacons: beacon id → arc along ``route_id``."""

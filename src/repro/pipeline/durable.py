@@ -47,6 +47,7 @@ from typing import Iterable, Sequence
 
 from repro.core.arrival.predictor import ArrivalPrediction
 from repro.core.positioning.trajectory import TrajectoryPoint
+from repro.core.server.backend import observation_ack
 from repro.core.server.server import WiLocatorServer
 from repro.core.server.session import BusSession
 from repro.core.traffic.map import TrafficMap
@@ -58,7 +59,7 @@ from repro.pipeline.replay import (
     CHECKPOINT_SUBDIR,
     WAL_SUBDIR,
     RecoveryReport,
-    recover as run_recovery,
+    recover,
 )
 from repro.pipeline.wal import WalWriter
 from repro.sensing.reports import ScanReport
@@ -85,10 +86,9 @@ class DurableServer:
         (0 disables periodic checkpoints; :meth:`close` still writes a
         final one unless told not to).
     max_segment_records / max_segment_bytes / fsync:
-        WAL knobs, see :class:`WalWriter`.
-    recover:
-        When True (default), replay existing durable state in
-        ``data_dir`` into ``server`` before accepting new reports.
+        WAL knobs, see :class:`WalWriter`.  Existing durable state in
+        ``data_dir`` is always replayed into ``server`` before new
+        reports are accepted (:attr:`last_recovery` reports how).
     breaker_threshold / breaker_probe_after:
         Storage circuit breaker: consecutive WAL/checkpoint failures
         before opening, and reports skipped while open before a
@@ -115,7 +115,6 @@ class DurableServer:
         max_segment_records: int = 1024,
         max_segment_bytes: int = 1 << 20,
         fsync: bool = True,
-        recover: bool = True,
         breaker_threshold: int = 3,
         breaker_probe_after: int = 64,
         fs=None,
@@ -131,9 +130,7 @@ class DurableServer:
             name="storage",
             metrics=server.metrics,
         )
-        self.last_recovery: RecoveryReport | None = None
-        if recover:
-            self.last_recovery = run_recovery(server, self.data_dir)
+        self.last_recovery: RecoveryReport = recover(server, self.data_dir)
         self.wal = WalWriter(
             self.data_dir / WAL_SUBDIR,
             max_segment_records=max_segment_records,
@@ -201,9 +198,7 @@ class DurableServer:
         self._note_committed(1)
         return fix
 
-    def ingest_many(
-        self, reports: Iterable[ScanReport], *, admitted: bool = False
-    ) -> int:
+    def ingest_many(self, reports: Iterable[ScanReport]) -> int:
         """Durable batch ingest; returns the accepted count.
 
         The protocol-surface twin of :meth:`submit_many`: reports are
@@ -212,16 +207,11 @@ class DurableServer:
         request is acknowledged).  Before this method existed the name
         fell through ``__getattr__`` to the wrapped server's
         ``ingest_many`` — silently bypassing the WAL, so a crash lost
-        reports that the caller believed durable.
-
-        ``admitted=True`` marks a stream that already passed admission
-        *and* durability (recovery replay, a committed cluster batch):
-        it applies directly through the wrapped server without touching
-        admission state or the log again.
+        reports that the caller believed durable.  A stream that already
+        passed admission and durability (a recovery replay) applies
+        through the wrapped server's ``ingest_many(admitted=True)``.
         """
         self._check_open()
-        if admitted:
-            return len(self.server.ingest_many(reports, admitted=True))
         accepted = self.submit_many(reports)
         self.batcher.flush()
         return accepted
@@ -260,16 +250,7 @@ class DurableServer:
     def ingest_observations(self, observations: Iterable[Observation]) -> dict[str, int]:
         """Durable observation batch; same counter-delta ack as every backend."""
         self._check_open()
-        submitted = accepted = 0
-        for obs in sorted(observations, key=lambda o: o.t):
-            submitted += 1
-            if self.ingest_observation(obs):
-                accepted += 1
-        return {
-            "submitted": submitted,
-            "accepted": accepted,
-            "rejected": submitted - accepted,
-        }
+        return observation_ack(self.ingest_observation, observations)
 
     def fused_position(self, session_key: str, *, now: float) -> TrajectoryPoint | None:
         """Fusion-backed position (WiFi-fresh or blended); served from memory."""

@@ -5,8 +5,8 @@ below type-check only if :class:`WiLocatorServer`,
 :class:`DurableServer` and :class:`ClusterRouter` are structurally
 assignable to :class:`~repro.core.server.backend.ServingBackend`
 *without casts* — which is exactly the signature-drift guarantee this PR
-makes.  If someone re-introduces drift (an ``ingest_many`` losing its
-``admitted`` keyword, a ``health`` payload going missing), mypy fails
+makes.  If someone re-introduces drift (an ``ingest_many`` growing a
+required argument, a ``health`` payload going missing), mypy fails
 here, far from the serving code that relied on it.
 
 Runtime cross-checks live in ``tests/core/test_backend_protocol.py``.

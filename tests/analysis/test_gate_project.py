@@ -138,6 +138,28 @@ def test_wl010_fires_on_a_journal_write_that_bypasses_save(tmp_path):
     assert "foreign write to shared attribute MigrationJournal.checkpoint_wal_seq" in f.message
 
 
+
+def test_wl010_fires_on_a_park_that_bypasses_the_park_helper(tmp_path):
+    # ``_park`` is the one ingest-side writer of the parked queue: a
+    # held report appended in ``ingest`` itself skips the sink
+    # double-write's single home and must trip the gate.
+    mutated = _mutated_src(
+        tmp_path,
+        "repro/cluster/router.py",
+        "            return self._park(report)",
+        "            self._parked.append(report)\n            return True",
+    )
+    result = _sweep(mutated, tmp_path)
+    wl010 = [f for f in result.findings if f.rule_id == "WL010"]
+    assert wl010, "a direct parked-queue append in ingest must trip WL010"
+    f = wl010[0]
+    assert f.file.endswith("repro/cluster/router.py")
+    assert f.line == _line_of(
+        mutated, "repro/cluster/router.py", "            self._parked.append(report)"
+    )
+    assert "_parked" in f.message
+
+
 # -- perf smoke and --diff equivalence ----------------------------------------
 
 

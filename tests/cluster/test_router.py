@@ -162,3 +162,214 @@ class TestMergedViews:
         assert health["shards"][str(FEEDER)] == {"status": "down"}
         assert health["shards"][str(QUERY)]["status"] == "ok"
         assert health["bus"]["nodes"] == [QUERY, FEEDER]
+
+
+# -- degrade around one impaired shard, query by query ----------------------
+#
+# Three shards over two overlapped pairs: A00+B01 on 0, B00 on 1, A01 on 2.
+# Shard 1 is impaired three ways: crashed (not live, so never asked),
+# faulting (every entry point raises into its breaker), and breaker-open
+# (skipped without being asked).  Each query must answer with the two
+# survivors' union, and the skip/error counters must move by exactly the
+# calls that reach the impaired shard.
+
+VICTIM, SURVIVORS = 1, (0, 2)
+THREE_SHARDS = {"A00": 0, "B01": 0, "B00": 1, "A01": 2}
+BOARD, ALIGHT, DEAD_STOP = "A00_st1", "A00_st4", "B00_st1"
+SCATTER_QUERIES = (
+    "flush",
+    "departures",
+    "departures_at_a_dead_stop",
+    "plan_trip",
+    "live_positions",
+    "active_sessions",
+    "detect_anomalies",
+    "traffic_map",
+    "ingest_rider",
+)
+_CORE_ENTRY_POINTS = (
+    "active_sessions", "detect_anomalies", "traffic_map", "rider_candidate",
+    "ingest_rider",
+)
+_API_ENTRY_POINTS = ("stops_named", "departures", "plan_trip", "live_positions")
+
+
+@pytest.fixture(scope="module")
+def pairs_city():
+    from repro.eval.synth_city import build_overlap_city
+
+    return build_overlap_city(num_pairs=2, feeder_sessions=2, query_sessions=2)
+
+
+def _explode(*args, **kwargs):
+    raise RuntimeError("shard wedged")
+
+
+def impaired_router(city, mode):
+    from repro.cluster.plan import ShardPlan
+
+    router = build_cluster(
+        city.fresh_twin().server, ShardPlan.from_assignment(THREE_SHARDS, city.routes)
+    )
+    loaded(router, city)
+    if mode == "crashed":
+        router.crash_shard(VICTIM)
+    elif mode == "faulting":
+        node = router.nodes[VICTIM]
+        node.flush = _explode
+        for name in _CORE_ENTRY_POINTS:
+            setattr(node.core, name, _explode)
+        api = router._rider_api(VICTIM)
+        for name in _API_ENTRY_POINTS:
+            setattr(api, name, _explode)
+    else:
+        for _ in range(3):  # breaker_threshold
+            router.breakers[VICTIM].record_failure("injected")
+        assert router.breakers[VICTIM].state == OPEN
+    return router
+
+
+def _rider_scan(city):
+    driver = max((r for r in city.reports if r.route_id == "A01"), key=lambda r: r.t)
+    return anonymise(driver, "rider-net")
+
+
+def _per_stop(calls):
+    """Answers of the shards whose routes serve the stop."""
+    out = []
+    for call in calls:
+        try:
+            out.extend(call())
+        except UnknownStopError:
+            continue
+    return out
+
+
+def survivors_union(router, city, query):
+    """What ``query`` must answer: the survivors asked directly, merged."""
+    from repro.core.server.api import LivePositions, RiderAPI
+    from repro.core.traffic.anomaly import merge_anomalies
+    from repro.core.traffic.classifier import SegmentStatus
+
+    cores = [router.nodes[sid].core for sid in SURVIVORS]
+    apis = [RiderAPI(core) for core in cores]
+    now = city.now
+    if query == "flush":
+        return sum(router.nodes[sid].flush() for sid in SURVIVORS)
+    if query == "departures":
+        rows = _per_stop(lambda a=a: a.departures(BOARD, now=now) for a in apis)
+        rows.sort(key=lambda e: (e.eta_t, e.route_id, e.session_key))
+        return rows[:10]
+    if query == "departures_at_a_dead_stop":
+        return UnknownStopError
+    if query == "plan_trip":
+        rows = _per_stop(lambda a=a: a.plan_trip(BOARD, ALIGHT, now=now) for a in apis)
+        rows.sort(key=lambda o: (o.alight_t, o.board_t, o.route_id, o.session_key))
+        return rows
+    if query == "live_positions":
+        return dict(LivePositions.merge(a.live_positions(now=now) for a in apis))
+    if query == "active_sessions":
+        return sorted(
+            (s.session_key for c in cores for s in c.active_sessions(now=now))
+        )
+    if query == "detect_anomalies":
+        return merge_anomalies([a for c in cores for a in c.detect_anomalies(now)])
+    if query == "traffic_map":
+        states = {}
+        for core in cores:
+            for seg_id, state in core.traffic_map(now).states.items():
+                have = states.get(seg_id)
+                if have is None or (
+                    have.status is SegmentStatus.UNKNOWN
+                    and state.status is not SegmentStatus.UNKNOWN
+                ):
+                    states[seg_id] = state
+        return states
+    assert query == "ingest_rider"
+    best_sid, best_sim = None, 0.0
+    for sid, core in zip(SURVIVORS, cores):
+        decision = core.rider_candidate(_rider_scan(city))
+        if decision.session_key is not None and decision.similarity > best_sim:
+            best_sid, best_sim = sid, decision.similarity
+    return best_sid
+
+
+def ask(router, city, query):
+    now = city.now
+    if query == "flush":
+        return router.flush()
+    if query == "departures":
+        return router.departures(BOARD, now=now)
+    if query == "departures_at_a_dead_stop":
+        try:
+            router.departures(DEAD_STOP, now=now)
+        except UnknownStopError:
+            return UnknownStopError
+        return None
+    if query == "plan_trip":
+        return router.plan_trip(BOARD, ALIGHT, now=now)
+    if query == "live_positions":
+        return dict(router.live_positions(now=now))
+    if query == "active_sessions":
+        return [s.session_key for s in router.active_sessions(now=now)]
+    if query == "detect_anomalies":
+        return router.detect_anomalies(now)
+    if query == "traffic_map":
+        return router.traffic_map(now).states
+    assert query == "ingest_rider"
+    scan = _rider_scan(city)
+    fix = router.ingest_rider(scan)
+    for sid in SURVIVORS:
+        core = router.nodes[sid].core
+        for key in core.sessions:
+            if core.current_position(key) is fix and fix is not None:
+                return sid
+    assert fix is None
+    return None
+
+
+class TestDegradedScatter:
+    @pytest.mark.parametrize("query", SCATTER_QUERIES)
+    @pytest.mark.parametrize("mode", ["crashed", "faulting", "breaker_open"])
+    def test_answer_is_the_survivors_union(self, pairs_city, mode, query):
+        router = impaired_router(pairs_city, mode)
+        expected = survivors_union(router, pairs_city, query)
+        skipped = router.metrics.counter("cluster.query_shard_skipped")
+        errors = router.metrics.counter("cluster.shard_errors")
+        assert ask(router, pairs_city, query) == expected
+        # Every query asks the impaired shard exactly once: departures
+        # and plan_trip resolve their stops on shard 0 first and stop
+        # there, a stop only the victim serves asks it while resolving.
+        reached = 0 if mode == "crashed" else 1
+        assert router.metrics.counter("cluster.query_shard_skipped") - skipped == (
+            reached if mode == "breaker_open" else 0
+        )
+        assert router.metrics.counter("cluster.shard_errors") - errors == (
+            reached if mode == "faulting" else 0
+        )
+
+    def test_the_rider_probe_lands_on_a_survivor(self, pairs_city):
+        # The regression net's rider case is not vacuous: a survivor's
+        # driver matches the scan.
+        router = impaired_router(pairs_city, "crashed")
+        assert survivors_union(router, pairs_city, "ingest_rider") in SURVIVORS
+
+    @pytest.mark.parametrize("mode", ["crashed", "faulting", "breaker_open"])
+    def test_session_calls_degrade_to_none(self, pairs_city, mode):
+        router = impaired_router(pairs_city, mode)
+        key = "bus:B00:0"
+        stop = pairs_city.routes["B00"].stops[-1].stop_id
+        assert router.shard_of_session(key) == VICTIM
+        if mode == "faulting":
+            router.nodes[VICTIM].core.predict_arrival = _explode
+            router.nodes[VICTIM].core.current_position = _explode
+        skipped = router.metrics.counter("cluster.query_shard_skipped")
+        errors = router.metrics.counter("cluster.shard_errors")
+        assert router.predict_arrival(key, stop) is None
+        assert router.current_position(key) is None
+        assert router.metrics.counter("cluster.predict_degraded") == 1
+        moved = (
+            router.metrics.counter("cluster.query_shard_skipped") - skipped,
+            router.metrics.counter("cluster.shard_errors") - errors,
+        )
+        assert moved == ((0, 2) if mode == "faulting" else (2, 0))

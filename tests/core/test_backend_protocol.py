@@ -1,9 +1,9 @@
 """Every deployment shape satisfies the one ``ServingBackend`` protocol.
 
-The drift this PR reconciled — ``ingest_many``'s keyword-only
-``admitted`` flag, universal ``flush``, and the common ``health()``
-payload core — is pinned here at runtime; mypy checks the full
-signatures structurally via ``repro/serving/_protocol_check.py``.
+The reconciled surface — universal ``flush``, the common ``health()``
+payload core, and ``admitted`` as the plain server's replay flag only —
+is pinned here at runtime; mypy checks the full signatures structurally
+via ``repro/serving/_protocol_check.py``.
 """
 
 from __future__ import annotations
@@ -58,13 +58,17 @@ class TestProtocolConformance:
                     method,
                 )
 
-    def test_ingest_many_takes_keyword_only_admitted(self, backends):
+    def test_only_the_plain_server_takes_admitted(self, backends):
+        # Replay of a pre-admitted stream is the plain server's flag, not
+        # a protocol entry point: the WAL-backed and sharded backends
+        # have no way to apply reports around their log or routing.
         for name, backend in backends.items():
-            sig = inspect.signature(backend.ingest_many)
-            param = sig.parameters.get("admitted")
-            assert param is not None, name
-            assert param.kind is inspect.Parameter.KEYWORD_ONLY, name
-            assert param.default is False, name
+            param = inspect.signature(backend.ingest_many).parameters.get("admitted")
+            if name == "plain":
+                assert param.kind is inspect.Parameter.KEYWORD_ONLY
+                assert param.default is False
+            else:
+                assert param is None, name
 
 
 class TestReconciledBehaviour:
@@ -79,14 +83,11 @@ class TestReconciledBehaviour:
             assert health["status"] == "ok", name
 
     def test_admitted_streams_skip_the_guard(self, city, backends):
-        """``admitted=True`` marks a pre-admitted stream (WAL replay,
-        committed-batch apply): admission control must not run again."""
-        for name, backend in backends.items():
-            backend.ingest_many(city.reports, admitted=True)
-            backend.flush()
-            counters = backend.counters()
-            assert counters.get("guard.admitted", 0) == 0, name
-            assert counters.get("guard.rejected", 0) == 0, name
-            assert counters.get("ingest.reports", 0) == len(
-                city.reports
-            ), name
+        """``admitted=True`` marks a pre-admitted stream (WAL replay, a
+        resharding suffix): admission control must not run again."""
+        server = backends["plain"]
+        server.ingest_many(city.reports, admitted=True)
+        counters = server.counters()
+        assert counters.get("guard.admitted", 0) == 0
+        assert counters.get("guard.rejected", 0) == 0
+        assert counters.get("ingest.reports", 0) == len(city.reports)

@@ -6,8 +6,6 @@ from repro.core.arrival import SlotScheme, TravelTimeRecord, TravelTimeStore
 from repro.core.server.persistence import (
     atomic_write_text,
     check_version,
-    load_training_state,
-    save_training_state,
     slots_from_dict,
     slots_to_dict,
     store_from_dict,
@@ -60,29 +58,6 @@ class TestSlotsRoundTrip:
             slots_from_dict(data)
 
 
-class TestFileRoundTrip:
-    def test_full_snapshot(self, tmp_path, store):
-        path = tmp_path / "state.json"
-        slots = SlotScheme.paper_weekday()
-        save_training_state(path, store, slots)
-        history, restored_slots = load_training_state(path)
-        assert len(history) == len(store)
-        assert restored_slots == slots
-
-    def test_snapshot_without_slots(self, tmp_path, store):
-        path = tmp_path / "state.json"
-        save_training_state(path, store)
-        history, slots = load_training_state(path)
-        assert slots is None
-        assert len(history) == 2
-
-    def test_mean_survives_roundtrip(self, tmp_path, store):
-        path = tmp_path / "state.json"
-        save_training_state(path, store)
-        history, _ = load_training_state(path)
-        assert history.mean_travel_time("s0") == store.mean_travel_time("s0")
-
-
 class TestAtomicWrite:
     def test_replaces_existing_content(self, tmp_path):
         path = tmp_path / "state.json"
@@ -94,12 +69,6 @@ class TestAtomicWrite:
         path = tmp_path / "state.json"
         atomic_write_text(path, "payload")
         assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
-
-    def test_save_is_atomic(self, tmp_path, store):
-        path = tmp_path / "state.json"
-        save_training_state(path, store)
-        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
-        assert json.loads(path.read_text())["version"] == 1
 
 
 class TestCheckVersion:
@@ -115,7 +84,7 @@ class TestCheckVersion:
             check_version({"version": 9}, kind="thing")
 
     def test_load_rejects_versionless_file(self, tmp_path):
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps({"history": {"records": []}}))
+        path = tmp_path / "history.json"
+        path.write_text(json.dumps({"records": []}))
         with pytest.raises(ValueError, match="version"):
-            load_training_state(path)
+            store_from_dict(json.loads(path.read_text()))

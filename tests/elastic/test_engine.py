@@ -315,3 +315,26 @@ class TestHandoff:
             assert cluster.ingest_observation(probe)
             gps = cluster.nodes[0].core.fusion.health()["sources"]["gps"]
             assert gps["rejected"] == 0
+
+    def test_split_source_forgets_the_moved_route_in_fusion(
+        self, city, plan, tmp_path
+    ):
+        # The fusion orchestrator shares its server's route map, so the
+        # route the split pruned from the source is unknown to fusion too.
+        router, _, engine = split_setup(city, plan, tmp_path)
+        assert engine.run(now=city.now) == COMMITTED
+        source = router.nodes[1]
+        assert "B00" not in source.core.routes
+        route = city.routes["B00"]
+        mid = route.point_at(route.length / 2)
+        probe = GpsObservation(
+            device_id="gps-probe",
+            session_key="bus:B00:0",
+            route_id="B00",
+            t=city.now,
+            x=mid.x,
+            y=mid.y,
+        )
+        assert source.ingest_observation(probe) is False
+        assert source.core.counters()["fusion.rejected.unknown_route"] == 1
+        assert source.core.fusion.health()["sources"]["gps"]["rejected"] == 1

@@ -60,9 +60,10 @@ def make_route(route_id: str = "R1", length: float = 1000.0) -> BusRoute:
     return BusRoute(route_id, net, seg_ids, stops)
 
 
-def make_orchestrator(**config_kwargs) -> FusionOrchestrator:
+def make_orchestrator(routes=None, **config_kwargs) -> FusionOrchestrator:
     orch = FusionOrchestrator(
-        {"R1": make_route()}, config=FusionConfig(**config_kwargs)
+        routes if routes is not None else {"R1": make_route()},
+        config=FusionConfig(**config_kwargs),
     )
     orch.register_beacons("R1", {"b0": 0.0, "b1": 100.0, "b2": 200.0})
     orch.register_cells("R1", {"c0": (0.0, 500.0), "c1": (500.0, 1000.0)})
@@ -153,8 +154,7 @@ class TestObserve:
     def test_blend_filters_to_a_single_route(self):
         # Arcs of different routes are incomparable: only the newest
         # entry's route contributes when a session spans routes.
-        orch = make_orchestrator()
-        orch.add_route(make_route("R2"))
+        orch = make_orchestrator({"R1": make_route(), "R2": make_route("R2")})
         assert orch.observe(gps(5.0, x=200.0))
         assert orch.observe(
             GpsObservation(

@@ -91,7 +91,6 @@ def test_recovered_server_keeps_ingesting(durable_run, tmp_path):
     durable = DurableServer(
         recovered.server, crash_dir, max_batch=4, fsync=False
     )
-    assert durable.last_recovery is not None
     assert durable.last_recovery.last_seq == 17
     assert durable.wal.next_seq == 18
     remaining = read_wal(data_dir / WAL_SUBDIR).records[18:]
