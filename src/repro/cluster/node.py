@@ -28,7 +28,7 @@ from repro.core.arrival.history import TravelTimeRecord
 from repro.core.server.server import WiLocatorServer
 from repro.fusion.observations import Observation
 from repro.pipeline.durable import DurableServer
-from repro.sensing.reports import ScanReport
+from repro.sensing.reports import AdmissionDecision, ScanReport
 
 from repro.cluster.plan import ShardPlan
 
@@ -155,39 +155,27 @@ class ShardNode:
 
     # -- ingest --------------------------------------------------------------
 
-    def submit(self, report: ScanReport) -> bool:
-        """Accept one driver report; True when admitted.
+    def submit(self, report: ScanReport) -> AdmissionDecision:
+        """Accept one driver report; returns its decision.
 
-        Durable nodes batch through :meth:`DurableServer.submit` (the
-        report takes effect at WAL commit); plain nodes admit and apply
-        immediately.
+        Durable nodes batch (the report takes effect at WAL commit);
+        plain nodes commit it at once.
         """
-        durable = self.durable
-        if durable is not None:
-            return durable.submit(report)
-        if not self.core.admit(report):
-            return False
-        self.core.ingest_admitted(report)
-        return True
+        return self.server.submit(report)
 
     def ingest_observation(self, obs: Observation) -> bool:
         """Accept one normalized multi-sensor observation; True when stored.
 
-        Durable nodes route WiFi observations through their WAL
-        (:meth:`DurableServer.ingest_observation`); plain nodes hand
-        everything to the core server.  Either way non-WiFi observations
-        land in this shard's fusion orchestrator, so observations shard
-        exactly like the reports of the same route.
+        Durable nodes route WiFi observations through their WAL.  Either
+        way non-WiFi observations land in this shard's fusion
+        orchestrator, so observations shard exactly like the reports of
+        the same route.
         """
-        durable = self.durable
-        if durable is not None:
-            return durable.ingest_observation(obs)
-        return self.core.ingest_observation(obs)
+        return self.server.ingest_observation(obs)
 
     def flush(self) -> int:
         """Commit any batched reports now (no-op for plain nodes)."""
-        durable = self.durable
-        return durable.flush() if durable is not None else 0
+        return self.server.flush()
 
     def checkpoint(self) -> Path | None:
         durable = self.durable

@@ -47,7 +47,8 @@ from repro.core.traffic.map import TrafficMap
 from repro.fusion.observations import Observation, WifiObservation
 from repro.fusion.orchestrator import fold_fusion_health
 from repro.guard.breaker import CircuitBreaker
-from repro.sensing.reports import ScanReport
+from repro.guard.validate import ADMITTED, SHARD_UNAVAILABLE
+from repro.sensing.reports import AdmissionDecision, ScanReport
 
 from repro.cluster.bus import DeltaBus
 from repro.cluster.node import ShardNode
@@ -205,14 +206,15 @@ class ClusterRouter:
         self._park_sink = None
         return parked
 
-    def _park(self, report: ScanReport) -> bool:
+    def _park(self, report: ScanReport) -> AdmissionDecision:
         """Accept a held route's report: queue it, double-write it to the
-        sink, count it (``reshard.parked_reports``)."""
+        sink, count it (``reshard.parked_reports``).  A parked report
+        counts as admitted."""
         self._parked.append(report)
         if self._park_sink is not None:
             self._park_sink(report)
         self.metrics.incr("reshard.parked_reports")
-        return True
+        return ADMITTED
 
     # -- error isolation -----------------------------------------------------
 
@@ -271,13 +273,15 @@ class ClusterRouter:
                 return sid
         return None
 
-    def ingest(self, report: ScanReport) -> bool:
-        """Route one driver report to its shard; True when admitted.
+    def ingest(self, report: ScanReport) -> AdmissionDecision:
+        """Route one driver report to its shard; returns its decision.
 
-        A report for a downed shard is refused (False, counted
+        The shard's own decision passes through.  A report for a downed
+        or broken shard is refused with
+        :data:`~repro.guard.validate.SHARD_UNAVAILABLE` (counted
         ``cluster.ingest_rejected``) — callers park and resubmit after
         :meth:`restore_shard`, mirroring a load balancer's 503.  A
-        report for a route under a reshard hold is *accepted* but
+        report for a route under a reshard hold is *admitted* but
         parked (counted ``reshard.parked_reports``): zero-loss cutover
         means the caller never sees the migration.
         """
@@ -286,19 +290,19 @@ class ClusterRouter:
         shard_id = self.plan.shard_of(report.route_id)
         if shard_id in self._down:
             self.metrics.incr("cluster.ingest_rejected")
-            return False
-        accepted = self._guarded(shard_id, self.nodes[shard_id].submit, report)
-        if accepted is _SKIPPED:
+            return SHARD_UNAVAILABLE
+        decision = self._guarded(shard_id, self.nodes[shard_id].submit, report)
+        if decision is _SKIPPED:
             self.metrics.incr("cluster.ingest_rejected")
-            return False
+            return SHARD_UNAVAILABLE
         self.metrics.incr("cluster.ingest_routed")
-        if accepted:
+        if decision:
             self._session_shard[report.session_key] = shard_id
-        return bool(accepted)
+        return decision
 
-    def ingest_many(self, reports: Iterable[ScanReport]) -> int:
-        """Route a report stream in timestamp order; returns admitted count."""
-        return sum(1 for r in sorted(reports, key=lambda r: r.t) if self.ingest(r))
+    def ingest_many(self, reports: Iterable[ScanReport]) -> list[AdmissionDecision]:
+        """Route a report stream in timestamp order; one decision each."""
+        return [self.ingest(r) for r in sorted(reports, key=lambda r: r.t)]
 
     def ingest_observation(self, obs: Observation) -> bool:
         """Route one multi-sensor observation to its route's shard.
@@ -315,7 +319,7 @@ class ClusterRouter:
         (``fusion.route_rejected``).
         """
         if isinstance(obs, WifiObservation) and obs.route_id in self._held_routes:
-            return self._park(obs.to_report())
+            return self._park(obs.to_report()).admitted
         shard_id = self.plan.shard_of(obs.route_id)
         if shard_id in self._down:
             self.metrics.incr("fusion.route_rejected")
@@ -332,7 +336,7 @@ class ClusterRouter:
         return bool(got)
 
     def ingest_observations(self, observations: Iterable[Observation]) -> dict[str, int]:
-        """Route an observation batch; same counter-delta ack as every backend."""
+        """Route an observation batch; the observation ack every backend shares."""
         return observation_ack(self.ingest_observation, observations)
 
     def fused_position(self, session_key: str, *, now: float) -> TrajectoryPoint | None:

@@ -65,9 +65,14 @@ class BusTracker:
         """Process one scan; returns the appended trajectory point.
 
         Scans with no usable readings return None and leave the track
-        unchanged.  An estimate that would move the track backwards is
-        clamped to the previous arc (a bus never reverses on its route).
+        unchanged, and so do scans older than the last fix (a late upload
+        admission let through: the track is time-ordered).  An estimate
+        that would move the track backwards is clamped to the previous
+        arc (a bus never reverses on its route).
         """
+        last = self.trajectory.last
+        if last is not None and report.t < last.t:
+            return None
         window = self.feasible_window(report.t)
         estimate = self.positioner.locate(report, arc_window=window)
         if estimate is None and window is not None:
@@ -77,7 +82,6 @@ class BusTracker:
         if estimate is None:
             return None
         arc = estimate.arc_length
-        last = self.trajectory.last
         if last is not None and arc < last.arc_length:
             arc = last.arc_length
         point = self.route.point_at(arc)

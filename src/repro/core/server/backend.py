@@ -12,14 +12,15 @@ a typed :class:`typing.Protocol` and the drift is reconciled at the
 implementations:
 
 * ``ingest`` returns the position fix when the backend computes one
-  synchronously (single server), an admitted/parked verdict when it
-  routes (cluster), or the fix after a synchronous WAL commit (durable)
+  synchronously (single server), or the report's
+  :class:`~repro.sensing.reports.AdmissionDecision` (durable, cluster)
   — the union return type is the honest intersection;
-* ``ingest_many`` returns either the per-report fixes or an accepted
-  count.  Replaying a stream that already passed admission is not part
-  of the protocol: the plain server's ``ingest_many(admitted=True)`` is
-  the one replay entry point (WAL recovery, the resharding engine's
-  suffix replay, both on a bare :class:`WiLocatorServer`);
+* ``ingest_many`` returns one ``AdmissionDecision`` per report, in
+  timestamp order, on every backend; the front door builds its ack from
+  them.  Applying a stream that already passed admission is not part of
+  the protocol: the plain server's ``commit`` is the one loop for it
+  (WAL recovery and the resharding engine's suffix replay call it on a
+  bare :class:`WiLocatorServer`);
 * ``flush`` exists everywhere (a plain server simply has nothing
   buffered) so the front door can force batched ingest visible without
   isinstance dispatch;
@@ -45,7 +46,7 @@ from repro.core.positioning.trajectory import TrajectoryPoint
 from repro.core.server.session import BusSession
 from repro.core.traffic.map import TrafficMap
 from repro.fusion.observations import Observation
-from repro.sensing.reports import ScanReport
+from repro.sensing.reports import AdmissionDecision, ScanReport
 
 __all__ = ["ServingBackend", "BACKEND_METHODS", "observation_ack"]
 
@@ -88,23 +89,18 @@ def observation_ack(
 class ServingBackend(Protocol):
     """What a deployment must serve to sit behind the HTTP front door."""
 
-    def ingest(self, report: ScanReport) -> TrajectoryPoint | bool | None:
+    def ingest(self, report: ScanReport) -> TrajectoryPoint | AdmissionDecision | None:
         """Accept one driver report.
 
-        Single-node backends return the new position fix (or ``None``);
-        the cluster router returns whether the report was admitted and
-        routed.  Either way, truthiness means "the report took effect".
+        The plain server returns the new position fix (or ``None``); the
+        durable server and the cluster router return the report's
+        decision.  Either way, truthiness means "the report took effect".
         """
         ...
 
-    def ingest_many(
-        self, reports: Iterable[ScanReport]
-    ) -> Sequence[TrajectoryPoint | None] | int:
-        """Accept a report stream in timestamp order.
-
-        Returns the per-report fixes (single server) or the accepted
-        count (durable, cluster).
-        """
+    def ingest_many(self, reports: Iterable[ScanReport]) -> list[AdmissionDecision]:
+        """Accept a report stream in timestamp order; one decision per
+        report, truthy when it was admitted (or parked)."""
         ...
 
     def ingest_observations(
@@ -115,8 +111,9 @@ class ServingBackend(Protocol):
         WiFi observations take the backend's guarded (and, where it
         exists, durable) report path; BLE/GPS/cell observations feed
         the fusion orchestrator as correction evidence.  Returns the
-        shared counter-delta ack ``{"submitted", "accepted",
-        "rejected"}`` — byte-identical across backends on clean input.
+        shared observation ack ``{"submitted", "accepted", "rejected"}``
+        counted from the per-observation results — byte-identical across
+        backends on clean input.
         """
         ...
 

@@ -187,19 +187,34 @@ class WiLocatorServer:
         guard's quarantine ring (with a reason code) and never touch
         positioning state.
         """
-        t0 = time.perf_counter()
-        if not self.admit(report):
-            return None
-        return self._apply(report, t0)
+        return self.commit((report,))[0] if self.admit(report) else None
+
+    def submit(self, report: ScanReport) -> AdmissionDecision:
+        """Admit one report and commit it at once; returns its decision.
+
+        The unbuffered twin of
+        :meth:`~repro.pipeline.durable.DurableServer.submit`, so a shard
+        submits the same way over either server.
+        """
+        decision = self.admit(report)
+        if decision:
+            self.commit((report,))
+        return decision
+
+    def commit(self, batch: Iterable[ScanReport]) -> list[TrajectoryPoint | None]:
+        """Apply an admitted batch in the order given; the per-report fixes.
+
+        The one loop by which admitted reports reach state: plain ingest,
+        the durable pipeline's batch commit, a shard's submit, WAL
+        recovery and the resharding catch-up all end here.  Admission
+        never runs — re-admitting would corrupt duplicate-suppression
+        state and double the admission counters — so callers admit first
+        or replay a log that holds only admitted reports.
+        """
+        return [self.ingest_admitted(report) for report in batch]
 
     def ingest_admitted(self, report: ScanReport) -> TrajectoryPoint | None:
-        """Apply a report that already passed :meth:`admit`.
-
-        The durable pipeline admits at submission time (so rejects never
-        reach the WAL) and applies committed batches through this method
-        — running admission twice would corrupt duplicate-suppression
-        state.
-        """
+        """Apply one report that already passed :meth:`admit`."""
         return self._apply(report, time.perf_counter())
 
     def _apply(self, report: ScanReport, t0: float) -> TrajectoryPoint | None:
@@ -241,27 +256,19 @@ class WiLocatorServer:
         self.metrics.observe("ingest", time.perf_counter() - t0)
         return point
 
-    def ingest_many(
-        self, reports: Iterable[ScanReport], *, admitted: bool = False
-    ) -> list[TrajectoryPoint | None]:
-        """Ingest a batch in timestamp order.
+    def ingest_many(self, reports: Iterable[ScanReport]) -> list[AdmissionDecision]:
+        """Admit a batch in timestamp order, then commit what was admitted.
 
-        Returns the per-report position fixes, aligned with the
-        time-sorted processing order (the seed discarded them).  Stats and
-        metrics advance exactly as per-report :meth:`ingest` calls would.
-
-        With ``admitted=True`` every report routes through
-        :meth:`ingest_admitted` instead: batch callers whose stream
-        already passed admission control (the durable pipeline's WAL
-        replay, the resharding engine's suffix replay) must not run it a
-        second time — re-admitting would corrupt
-        duplicate-suppression state and double the admission counters.
+        Returns each report's :class:`AdmissionDecision`, aligned with
+        the time-sorted order.  Admission is clocked by report time and
+        reads nothing a commit writes, so deciding the whole batch first
+        leaves state, stats and counters exactly as per-report
+        :meth:`ingest` calls would.
         """
-        apply = self.ingest_admitted if admitted else self.ingest
-        return [
-            apply(report)
-            for report in sorted(reports, key=lambda r: r.t)
-        ]
+        ordered = sorted(reports, key=lambda r: r.t)
+        decisions = [self.admit(report) for report in ordered]
+        self.commit([r for r, ok in zip(ordered, decisions) if ok])
+        return decisions
 
     # -- session state -------------------------------------------------------
 
@@ -331,7 +338,7 @@ class WiLocatorServer:
             overhead = time.perf_counter() - t0
             decision = self.admit(report)
             if decision:
-                self._apply(report, time.perf_counter())
+                self.commit((report,))
             t1 = time.perf_counter()
             self.fusion.note_wifi_observation(bool(decision))
             self.metrics.observe(
@@ -344,8 +351,9 @@ class WiLocatorServer:
     def ingest_observations(self, observations: Iterable[Observation]) -> dict[str, int]:
         """Accept an observation batch in timestamp order.
 
-        Returns the counter-delta ack every backend shares:
-        ``{"submitted", "accepted", "rejected"}``.
+        Returns the observation ack every backend shares, counted from
+        the per-observation results: ``{"submitted", "accepted",
+        "rejected"}``.
         """
         return observation_ack(self.ingest_observation, observations)
 

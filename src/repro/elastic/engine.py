@@ -19,11 +19,11 @@ The phase work (see :mod:`repro.elastic.machine` for the lattice):
 ``CATCHUP``
     Split only: build the staging server, restore the *moved slice* of
     the snapshot (sessions on moved routes, live records on the target's
-    own segments), then replay the WAL suffix of moved-route reports
-    through ``ingest_many(admitted=True)``.  The staging server has no
-    traversal tap yet, so replayed extractions do not pollute any
-    outbox; its delta sequence starts at 0 — the new shard is a genuinely
-    fresh origin.  The source keeps serving throughout.
+    own segments), then replay the WAL suffix of moved-route reports in
+    sequence order through ``WiLocatorServer.commit``.  The staging
+    server has no traversal tap yet, so replayed extractions do not
+    pollute any outbox; its delta sequence starts at 0 — the new shard
+    is a genuinely fresh origin.  The source keeps serving throughout.
 ``CUTOVER``
     The router parks moved-route ingest (double-written to the journal
     before it is acknowledged — zero loss even if the coordinator dies
@@ -380,7 +380,7 @@ class ReshardEngine:
             if rec.seq > after_seq and rec.report.route_id in moved
         ]
         if suffix:
-            core.ingest_many(suffix, admitted=True)
+            core.commit(suffix)
             self.router.metrics.incr("reshard.catchup_replayed", len(suffix))
         last_seen = result.records[-1].seq if result.records else after_seq
         return max(after_seq, last_seen)

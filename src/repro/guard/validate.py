@@ -37,10 +37,13 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.sensing.reports import ScanReport
+from repro.sensing.reports import AdmissionDecision, ScanReport
 
 __all__ = [
+    "ADMITTED",
     "AdmissionDecision",
+    "QUEUE_FULL",
+    "SHARD_UNAVAILABLE",
     "GuardConfig",
     "ReportValidator",
     "REASONS",
@@ -84,19 +87,15 @@ REASONS: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class AdmissionDecision:
-    """The verdict on one report: admitted, or quarantined with a reason."""
+ADMITTED = AdmissionDecision(True)
 
-    admitted: bool
-    reason: str | None = None
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.admitted
-
-
-_ADMIT = AdmissionDecision(True)
+#: Verdicts the layers above the guard add: the durable batcher dropped
+#: an admitted report (``overflow="drop"``), or the report's shard is
+#: down or failing.  Neither is quarantined or counted under ``guard.*``.
+QUEUE_FULL = AdmissionDecision(False, "queue_full", "ingest queue full")
+SHARD_UNAVAILABLE = AdmissionDecision(
+    False, "shard_unavailable", "the report's shard is down or failing"
+)
 
 
 def _reject(reason: str, detail: str = "") -> AdmissionDecision:
@@ -270,7 +269,7 @@ class ReportValidator:
                     f"t={t:.1f} behind session frontier {last:.1f} "
                     f"- window {cfg.monotonicity_window_s:.1f}",
                 )
-        return _ADMIT
+        return ADMITTED
 
     # -- state ---------------------------------------------------------------
 

@@ -22,8 +22,8 @@ Everything flushed is recovered byte-identically by
 Admission control runs at *submission* time: a rejected report is
 quarantined by the wrapped server's guard and never reaches the WAL, so
 the log only ever contains admitted reports (and replay can trust it).
-Committed batches apply through
-:meth:`WiLocatorServer.ingest_admitted` — admission never runs twice.
+Committed batches apply through :meth:`WiLocatorServer.commit` —
+admission never runs twice.
 
 Storage faults degrade, they do not crash: a
 :class:`~repro.guard.breaker.CircuitBreaker` watches WAL flushes and
@@ -53,6 +53,7 @@ from repro.core.server.session import BusSession
 from repro.core.traffic.map import TrafficMap
 from repro.fusion.observations import Observation, WifiObservation
 from repro.guard.breaker import CircuitBreaker
+from repro.guard.validate import QUEUE_FULL
 from repro.pipeline.batcher import MicroBatcher
 from repro.pipeline.checkpoint import write_checkpoint
 from repro.pipeline.replay import (
@@ -62,9 +63,14 @@ from repro.pipeline.replay import (
     recover,
 )
 from repro.pipeline.wal import WalWriter
-from repro.sensing.reports import ScanReport
+from repro.sensing.reports import AdmissionDecision, ScanReport
 
 __all__ = ["DurableServer"]
+
+#: Wrapped-server methods that apply reports around admission and the
+#: WAL; :meth:`DurableServer.__getattr__` refuses them, since a report
+#: applied that way is lost on a crash.
+_AROUND_THE_WAL = frozenset({"commit", "ingest_admitted"})
 
 
 class DurableServer:
@@ -152,69 +158,61 @@ class DurableServer:
 
     # -- durable ingestion ---------------------------------------------------
 
-    def submit(self, report: ScanReport) -> bool:
-        """Batched durable ingest; the report takes effect at batch commit.
+    def submit(self, report: ScanReport) -> AdmissionDecision:
+        """Batched durable ingest; returns the report's decision.
 
         Admission control runs now: a rejected report is quarantined (see
-        the guard's reason counters) and returns False without touching
-        the WAL.  Otherwise False only when the report was dropped by the
-        overflow policy.  State and position fixes become visible once
-        the batch holding the report commits (max-batch reached,
-        max-delay elapsed, or an explicit :meth:`flush`).
+        the guard's reason counters) and never touches the WAL.  An
+        admitted report the overflow policy drops answers
+        :data:`~repro.guard.validate.QUEUE_FULL`.  State and position
+        fixes become visible once the batch holding the report commits
+        (max-batch reached, max-delay elapsed, or an explicit
+        :meth:`flush`).
         """
         self._check_open()
-        if not self.server.admit(report):
-            return False
-        return self.batcher.submit(report)
+        return self._enqueue(report, self.server.admit(report))
 
-    def submit_many(self, reports: Iterable[ScanReport]) -> int:
-        """Submit a report stream in timestamp order; returns accepted count.
+    def submit_many(self, reports: Iterable[ScanReport]) -> list[AdmissionDecision]:
+        """Submit a report stream in timestamp order; one decision each.
 
-        Reports are admitted in timestamp order (admission state is
-        clocked by report time); quarantined ones never enter the batch.
+        The whole stream is admitted before any of it is batched
+        (admission state is clocked by report time); quarantined reports
+        never enter the batch.
         """
         self._check_open()
-        admitted = [
-            report
-            for report in sorted(reports, key=lambda r: r.t)
-            if self.server.admit(report)
-        ]
-        return self.batcher.submit_many(admitted)
+        ordered = sorted(reports, key=lambda r: r.t)
+        decisions = [self.server.admit(report) for report in ordered]
+        return [self._enqueue(r, d) for r, d in zip(ordered, decisions)]
 
-    def ingest(self, report: ScanReport) -> TrajectoryPoint | None:
-        """Unbatched durable ingest: WAL-commit this report alone, then apply.
+    def _enqueue(
+        self, report: ScanReport, decision: AdmissionDecision
+    ) -> AdmissionDecision:
+        if decision and not self.batcher.submit(report):
+            return QUEUE_FULL
+        return decision
 
-        The synchronous path for callers that need the position fix
-        immediately; costs one flush/fsync per report.  Any batched
-        reports already waiting are committed first, preserving
-        submission order in the log.
+    def ingest(self, report: ScanReport) -> AdmissionDecision:
+        """Unbatched durable ingest: :meth:`submit`, then commit at once.
+
+        For callers that need the report applied before the call
+        returns; costs one flush/fsync per call.  Reports already
+        waiting commit in the same batch, ahead of this one.
         """
-        self._check_open()
-        if not self.server.admit(report):
-            return None
+        decision = self.submit(report)
         self.batcher.flush()
-        self._wal_commit([report])
-        fix = self.server.ingest_admitted(report)
-        self._note_committed(1)
-        return fix
+        return decision
 
-    def ingest_many(self, reports: Iterable[ScanReport]) -> int:
-        """Durable batch ingest; returns the accepted count.
+    def ingest_many(self, reports: Iterable[ScanReport]) -> list[AdmissionDecision]:
+        """Durable batch ingest; one decision per report, in time order.
 
         The protocol-surface twin of :meth:`submit_many`: reports are
         admitted, micro-batched into the WAL, and *committed before the
         call returns* (a front-door batch must be queryable once the
-        request is acknowledged).  Before this method existed the name
-        fell through ``__getattr__`` to the wrapped server's
-        ``ingest_many`` — silently bypassing the WAL, so a crash lost
-        reports that the caller believed durable.  A stream that already
-        passed admission and durability (a recovery replay) applies
-        through the wrapped server's ``ingest_many(admitted=True)``.
+        request is acknowledged).
         """
-        self._check_open()
-        accepted = self.submit_many(reports)
+        decisions = self.submit_many(reports)
         self.batcher.flush()
-        return accepted
+        return decisions
 
     def ingest_rider(self, report: ScanReport) -> TrajectoryPoint | None:
         """Rider-scan ingest (proximity grouping); served from memory.
@@ -242,13 +240,13 @@ class DurableServer:
         """
         self._check_open()
         if isinstance(obs, WifiObservation):
-            accepted = self.submit(obs.to_report())
+            accepted = bool(self.submit(obs.to_report()))
             self.server.fusion.note_wifi_observation(accepted)
             return accepted
         return self.server.ingest_observation(obs)
 
     def ingest_observations(self, observations: Iterable[Observation]) -> dict[str, int]:
-        """Durable observation batch; same counter-delta ack as every backend."""
+        """Durable observation batch; the observation ack every backend shares."""
         self._check_open()
         return observation_ack(self.ingest_observation, observations)
 
@@ -263,17 +261,19 @@ class DurableServer:
         return self.batcher.flush()
 
     def _commit(self, batch: Sequence[ScanReport]) -> None:
-        """Batcher sink: one WAL flush for the whole batch, then apply it.
+        """Batcher sink: one WAL flush for the whole batch, apply it, then
+        checkpoint once ``checkpoint_every`` reports have committed.
 
         The batch is already admitted (see :meth:`submit`), so it applies
-        through :meth:`WiLocatorServer.ingest_admitted`.  Storage failure
-        does not raise: the breaker records it and the batch is applied
-        in memory, loudly counted as degraded.
+        through :meth:`WiLocatorServer.commit`.  Storage failure does not
+        raise: the breaker records it and the batch is applied in memory,
+        loudly counted as degraded.
         """
         self._wal_commit(batch)
-        for report in batch:
-            self.server.ingest_admitted(report)
-        self._note_committed(len(batch))
+        self.server.commit(batch)
+        self._since_checkpoint += len(batch)
+        if self.checkpoint_every and self._since_checkpoint >= self.checkpoint_every:
+            self.checkpoint()
 
     def _wal_commit(self, batch: Sequence[ScanReport]) -> bool:
         """Try to make a batch durable; False means degraded (memory only)."""
@@ -294,11 +294,6 @@ class DurableServer:
             return False
         self.breaker.record_success()
         return True
-
-    def _note_committed(self, n: int) -> None:
-        self._since_checkpoint += n
-        if self.checkpoint_every and self._since_checkpoint >= self.checkpoint_every:
-            self.checkpoint()
 
     # -- checkpoints ---------------------------------------------------------
 
@@ -430,4 +425,6 @@ class DurableServer:
         return self.server.metrics_snapshot()
 
     def __getattr__(self, name: str):
+        if name in _AROUND_THE_WAL:
+            raise AttributeError(f"DurableServer has no {name!r}: it bypasses the WAL")
         return getattr(self.server, name)

@@ -4,10 +4,11 @@ The recovery invariant the pipeline tests prove: for a server killed at
 any record boundary, :func:`recover` run against a freshly configured
 server reconstructs exactly the sessions, live travel-time store, stats,
 ingest counters and rider-query answers of an uninterrupted server that
-ingested the same WAL prefix.  Replay goes through the real ingest body
-(:meth:`WiLocatorServer.ingest_many` with ``admitted=True`` — the WAL
-only ever holds admitted reports, so admission must not run twice) —
-there is no second ingestion code path to drift.
+ingested the same WAL prefix.  Replay goes through the one commit loop
+(:meth:`WiLocatorServer.commit`, in WAL sequence order — the order the
+live server applied it; the WAL only ever holds admitted reports, so
+admission must not run twice) — there is no second ingestion code path
+to drift.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def recover(
     of log segments and a ``checkpoints/`` directory of snapshots.  The
     newest loadable checkpoint is restored first (a damaged newest file
     falls back to the previous one), then every readable WAL record past
-    its stamped sequence is replayed through the admitted ingest path.
+    its stamped sequence is replayed through :meth:`WiLocatorServer.commit`.
     WAL segments that hold only records the restored checkpoint covers
     are not opened (see :func:`~repro.pipeline.wal.read_wal`).
 
@@ -101,12 +102,12 @@ def recover(
     # records count as skipped all the same.
     result = read_wal(data_dir / WAL_SUBDIR, after_seq=ckpt_seq)
     # The WAL only ever contains admitted reports (DurableServer admits at
-    # submission time), so the suffix replays through the admitted batch
-    # path — running admission a second time would double the admission
-    # counters and corrupt duplicate-suppression state.
+    # submission time), so the suffix commits without re-admission, in
+    # sequence order: the live server applied each batch in WAL order,
+    # which is not timestamp order across requests.
     to_replay = [r.report for r in result.records if r.seq > ckpt_seq]
     skipped = result.unopened + len(result.records) - len(to_replay)
-    server.ingest_many(to_replay, admitted=True)
+    server.commit(to_replay)
     replayed = len(to_replay)
     server.metrics.incr("replay.records", replayed)
     server.metrics.incr("replay.runs")

@@ -93,3 +93,20 @@ class ScanReport:
             t=min(rep.t for rep in reports),
             readings=tuple(merged),
         )
+
+
+@dataclass(frozen=True, slots=True)
+class AdmissionDecision:
+    """The verdict on one report: admitted, or refused with a reason.
+
+    The guard decides (:mod:`repro.guard.validate` names its reasons);
+    every backend's ``ingest_many`` returns one per report, so a caller
+    learns each report's fate from return values alone.
+    """
+
+    admitted: bool
+    reason: str | None = None
+    detail: str = ""
+
+    def __bool__(self) -> bool:
+        return self.admitted

@@ -10,13 +10,12 @@ here and is exercised socket-free by the conformance suite.
 
 Identical responses across backends
 -----------------------------------
-The three backends return different types from ``ingest_many`` (a list
-of fixes, an accepted count, a routed count), so the ingest ack is
-computed from **metric counter deltas** instead of return values: the
-front door snapshots the backend's rejection counters around the call
-(handlers are synchronous, so the window is atomic within the event
-loop) and reports ``{"submitted": n, "accepted": n - rejections}``.  On
-clean traffic all three backends therefore produce byte-identical acks.
+Every backend's ``ingest_many`` returns one
+:class:`~repro.sensing.reports.AdmissionDecision` per report, so the
+ingest ack ``{"submitted": n, "accepted": admitted}`` and the choice of
+error (503 when every report met an impaired shard, 429 when the ingest
+queue dropped, 422 otherwise) come from return values alone.  On the
+same traffic all three backends therefore produce byte-identical acks.
 
 Endpoints
 ---------
@@ -68,6 +67,7 @@ from repro.core.server.backend import ServingBackend
 from repro.core.server.metrics import ServerMetrics
 from repro.fusion.adapters import normalize_payload
 from repro.fusion.observations import Observation
+from repro.guard.validate import QUEUE_FULL, SHARD_UNAVAILABLE
 from repro.pipeline.wal import report_from_dict
 from repro.radio.environment import Reading
 from repro.sensing.reports import ScanReport
@@ -131,14 +131,6 @@ class QuerySurface(Protocol):
     def plan_trip(self, from_stop_id, to_stop_id, *, now): ...
 
     def live_positions(self, *, now): ...
-
-
-# Counters whose growth during an ingest call means "report not accepted".
-_REJECTION_COUNTERS: tuple[str, ...] = (
-    "guard.rejected",
-    "batch.dropped",
-    "cluster.ingest_rejected",
-)
 
 
 def _require_float(
@@ -326,25 +318,16 @@ class ServingApp:
             WireErrorCode.BAD_REQUEST, "reports failed to decode"
         )
 
-    def _rejection_counters(self) -> dict[str, int]:
-        """Current rejection-relevant counters, uniformly across backends."""
-        counters = self.backend.counters()
-        return {name: counters.get(name, 0) for name in _REJECTION_COUNTERS}
-
     def _h_scans(self, request: Request) -> Response:
         reports = self._parse_reports(request)
-        before = self._rejection_counters()
         try:
-            self.backend.ingest_many(reports)
+            decisions = self.backend.ingest_many(reports)
             self.backend.flush()
         except ValueError as exc:
             raise WireError(WireErrorCode.UNAVAILABLE, str(exc)) from None
-        after = self._rejection_counters()
-        delta = {name: after[name] - before[name] for name in _REJECTION_COUNTERS}
-        rejected = sum(delta.values())
-        accepted = max(0, len(reports) - rejected)
+        accepted = sum(1 for decision in decisions if decision)
         if accepted == 0:
-            if delta["cluster.ingest_rejected"] == len(reports):
+            if all(d == SHARD_UNAVAILABLE for d in decisions):
                 health = self.backend.health()
                 if health.get("status") != "ok":
                     raise WireError(
@@ -352,18 +335,17 @@ class ServingApp:
                         "cluster refused the batch (shards impaired)",
                         submitted=len(reports),
                     )
-            if delta["batch.dropped"] > 0:
+            if QUEUE_FULL in decisions:
                 raise WireError(
                     WireErrorCode.RATE_LIMITED,
                     "ingest queue full, retry later",
                     submitted=len(reports),
                 )
-            if rejected > 0:
-                raise WireError(
-                    WireErrorCode.REJECTED,
-                    "admission control rejected every report",
-                    submitted=len(reports),
-                )
+            raise WireError(
+                WireErrorCode.REJECTED,
+                "admission control rejected every report",
+                submitted=len(reports),
+            )
         return Response(
             200, {"submitted": len(reports), "accepted": accepted}
         )

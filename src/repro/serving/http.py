@@ -196,10 +196,9 @@ class HttpServer:
         # Dispatch runs off the loop thread: the app's synchronous path
         # can reach a durable backend whose WAL flush fsyncs, and a disk
         # barrier on the event loop stalls every connection (WL006).
-        # Exactly one worker — the app's counter-delta ingest ack relies
-        # on dispatch being serialized (see repro/serving/app.py), so
-        # this moves the queue off the loop without introducing
-        # concurrency the backend was never built for.
+        # Exactly one worker: the backends are single-threaded, so this
+        # moves the queue off the loop without introducing concurrency
+        # the backend was never built for.
         self._dispatch_pool: ThreadPoolExecutor | None = None
 
     # -- socket-free entry point (tests, perf) -------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import build_cluster
 from repro.core.server.server import UnknownStopError
 from repro.guard.breaker import OPEN
+from repro.guard.validate import ADMITTED, SHARD_UNAVAILABLE
 from repro.sensing.reports import ScanReport
 
 pytestmark = pytest.mark.cluster
@@ -18,7 +19,7 @@ def router(city, plan):
 
 
 def loaded(router, city):
-    admitted = router.ingest_many(city.reports)
+    admitted = sum(map(bool, router.ingest_many(city.reports)))
     router.pump(now=city.now)
     return admitted
 
@@ -47,7 +48,7 @@ class TestDriverIngest:
         loaded(router, city)
         router.crash_shard(FEEDER)
         feeder_report = next(r for r in city.reports if r.route_id == "B00")
-        assert router.ingest(feeder_report) is False
+        assert router.ingest(feeder_report) == SHARD_UNAVAILABLE
         assert router.metrics.counter("cluster.ingest_rejected") == 1
         # The healthy shard still ingests (a fresh scan: the guard's
         # duplicate suppression would reject a byte-identical resend).
@@ -56,7 +57,7 @@ class TestDriverIngest:
             device_id=seen.device_id, session_key=seen.session_key,
             route_id="A00", t=city.now + 60.0, readings=seen.readings,
         )
-        assert router.ingest(fresh) is True
+        assert router.ingest(fresh) == ADMITTED
 
     def test_unknown_session_resolves_to_none(self, router):
         assert router.shard_of_session("bus:never-seen:9") is None

@@ -1,14 +1,13 @@
 """Every deployment shape satisfies the one ``ServingBackend`` protocol.
 
 The reconciled surface — universal ``flush``, the common ``health()``
-payload core, and ``admitted`` as the plain server's replay flag only —
-is pinned here at runtime; mypy checks the full signatures structurally
-via ``repro/serving/_protocol_check.py``.
+payload core, per-report decisions from ``ingest_many``, and ``commit``
+as the plain server's replay loop only — is pinned here at runtime;
+mypy checks the full signatures structurally via
+``repro/serving/_protocol_check.py``.
 """
 
 from __future__ import annotations
-
-import inspect
 
 import pytest
 
@@ -59,16 +58,13 @@ class TestProtocolConformance:
                 )
 
     def test_only_the_plain_server_takes_admitted(self, backends):
-        # Replay of a pre-admitted stream is the plain server's flag, not
-        # a protocol entry point: the WAL-backed and sharded backends
-        # have no way to apply reports around their log or routing.
+        # Applying a pre-admitted stream is the plain server's ``commit``,
+        # not a protocol entry point: the WAL-backed and sharded backends
+        # have no way to apply reports around their log or routing (the
+        # durable server's attribute delegation refuses both names).
         for name, backend in backends.items():
-            param = inspect.signature(backend.ingest_many).parameters.get("admitted")
-            if name == "plain":
-                assert param.kind is inspect.Parameter.KEYWORD_ONLY
-                assert param.default is False
-            else:
-                assert param is None, name
+            for method in ("commit", "ingest_admitted"):
+                assert hasattr(backend, method) is (name == "plain"), (name, method)
 
 
 class TestReconciledBehaviour:
@@ -82,11 +78,17 @@ class TestReconciledBehaviour:
             assert {"status", "stats", "sessions"} <= set(health), name
             assert health["status"] == "ok", name
 
+    def test_ingest_many_returns_one_decision_per_report(self, city, backends):
+        for name, backend in backends.items():
+            decisions = backend.ingest_many(city.reports)
+            assert len(decisions) == len(city.reports), name
+            assert all(decisions), name
+
     def test_admitted_streams_skip_the_guard(self, city, backends):
-        """``admitted=True`` marks a pre-admitted stream (WAL replay, a
+        """``commit`` applies a pre-admitted stream (WAL replay, a
         resharding suffix): admission control must not run again."""
         server = backends["plain"]
-        server.ingest_many(city.reports, admitted=True)
+        server.commit(city.reports)
         counters = server.counters()
         assert counters.get("guard.admitted", 0) == 0
         assert counters.get("guard.rejected", 0) == 0

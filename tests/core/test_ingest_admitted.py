@@ -1,11 +1,11 @@
 """Batch-ingest admission accounting: once per report, never twice.
 
-``ingest_many(admitted=True)`` exists for callers whose stream already
+``WiLocatorServer.commit`` exists for callers whose stream already
 passed admission control (WAL replay, a shard applying a committed
 batch): re-admitting would corrupt duplicate-suppression state and
 double the admission counters.  These tests pin the contract from both
-sides — the default batch path admits exactly once per report, and the
-pre-admitted path adds nothing on top of the caller's own ``admit``.
+sides — ``ingest_many`` admits exactly once per report, and ``commit``
+adds nothing on top of the caller's own ``admit``.
 """
 
 import pytest
@@ -57,8 +57,9 @@ class TestIngestManyAdmission:
             assert server.admit(report)
         before = admission_counts(server)
         assert before["admitted"] == len(city.reports)
-        server.ingest_many(stream, admitted=True)
+        fixes = server.commit(stream)
         after = admission_counts(server)
+        assert len(fixes) == len(stream)
         # Application ran (the histogram observed every report) but the
         # admission counters did not move a second time.
         assert after["admitted"] == before["admitted"]
@@ -69,8 +70,8 @@ class TestIngestManyAdmission:
     def test_readmitting_would_have_been_wrong(self, city):
         """The dedup window rejects a second admission of the same report.
 
-        This is exactly why ``admitted=True`` must skip the guard: a
-        replayed batch has, by definition, been admitted before.
+        This is exactly why ``commit`` must skip the guard: a replayed
+        batch has, by definition, been admitted before.
         """
         twin = city.fresh_twin()
         server = twin.server

@@ -125,6 +125,17 @@ class TestTracker:
         assert tracker.update(rep) is None
         assert len(tracker.trajectory) == 0
 
+    def test_late_report_leaves_the_track_unchanged(self, scene, rng):
+        # A scan older than the last fix used to raise out of the
+        # trajectory, failing the whole ingest request (and wedging a
+        # durable server's batch) when the guard let a late upload in.
+        route, env, positioner = scene
+        tracker = BusTracker(positioner)
+        tracker.update(scan_report(env, route.point_at(200.0), rng, 10.0))
+        late = scan_report(env, route.point_at(100.0), rng, 5.0)
+        assert tracker.update(late) is None
+        assert tracker.trajectory.times() == [10.0]
+
     def test_track_reports_sorts(self, scene, rng):
         route, env, positioner = scene
         tracker = BusTracker(positioner)

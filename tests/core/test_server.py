@@ -68,10 +68,16 @@ class TestIngestion:
         assert stats["sessions_opened"] == 1
 
     def test_ingest_many_returns_fixes(self, scene):
-        # Seed bug: ingest_many discarded the per-report fixes.
+        # Seed bug: ingest_many discarded the per-report fixes.  It now
+        # returns each report's decision; ``commit`` returns the fixes.
         server = make_server(scene)
-        fixes = server.ingest_many(scene["reports"])
+        ordered = sorted(scene["reports"], key=lambda r: r.t)
+        decisions = server.ingest_many(scene["reports"])
+        assert len(decisions) == len(scene["reports"]) and all(decisions)
+        twin = make_server(scene)
+        fixes = twin.commit(ordered)
         assert len(fixes) == len(scene["reports"])
+        assert twin.health()["stats"] == server.health()["stats"]
         fixed = [tp for tp in fixes if tp is not None]
         assert len(fixed) == server.health()["stats"]["positions_fixed"]
         assert all(

@@ -23,7 +23,7 @@ def loaded():
     # the critical-path claim needs the heavy side of the stream divided.
     plan = split_pairs_plan(city, 4)
     router = build_cluster(city.fresh_twin().server, plan)
-    admitted = router.ingest_many(city.reports)
+    admitted = sum(map(bool, router.ingest_many(city.reports)))
     router.pump(now=city.now)
     return city, plan, router, admitted
 

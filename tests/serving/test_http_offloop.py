@@ -4,8 +4,8 @@ The dispatch chain is synchronous by design — it ends in WAL appends and
 fsyncs on the durable backend — so running it on the loop thread would
 stall every open connection behind one disk barrier.  These tests pin
 the contract: dispatch happens on the dedicated worker thread, requests
-on one connection stay serialized (the counter-delta ingest ack depends
-on it), ``stop()`` tears the pool down, and the real app answers
+on one connection stay serialized (the backends are single-threaded),
+``stop()`` tears the pool down, and the real app answers
 concurrent keep-alive connections with the bytes ``handle_bytes`` gives.
 """
 

@@ -3,7 +3,7 @@
 The multi-sensor front door accepts a batch of kind-tagged observation
 payloads, normalizes each through the total adapters, and submits the
 batch to whichever backend sits behind the app.  The ack is the shared
-counter-delta dict, so the conformance check is byte-equality across
+observation ack, so the conformance check is byte-equality across
 plain / durable / cluster — and the failure modes (bad body, nothing
 normalizable) are reason-coded wire errors, never 500s.
 """
