@@ -126,9 +126,9 @@ class TestTracker:
         assert len(tracker.trajectory) == 0
 
     def test_late_report_leaves_the_track_unchanged(self, scene, rng):
-        # A scan older than the last fix used to raise out of the
-        # trajectory, failing the whole ingest request (and wedging a
-        # durable server's batch) when the guard let a late upload in.
+        # Admission without a monotonicity window lets a late upload
+        # through; it must neither raise (failing the whole request and
+        # a durable server's batch) nor reorder the track.
         route, env, positioner = scene
         tracker = BusTracker(positioner)
         tracker.update(scan_report(env, route.point_at(200.0), rng, 10.0))
